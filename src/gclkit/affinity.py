@@ -40,9 +40,15 @@ class AnchorMask:
         return int(self.active.sum())
 
 
-def _flat(i, k):
-    # 0-based class index, 0-based slot
-    return 2 * i + k
+def _class_diagonal(a, row, col, count):
+    """View of ``a[row + 2t, col + 2t]`` for t = 0..count-1.
+
+    Stepping one class moves two rows and two columns, so in the flattened
+    matrix these cells lie on a single strided slice.
+    """
+    step = 2 * a.shape[0] + 2
+    start = row * a.shape[0] + col
+    return a.reshape(-1)[start : start + step * count : step]
 
 
 def type1_affinity(n):
@@ -50,9 +56,9 @@ def type1_affinity(n):
     if n < 2:
         raise ValueError("type 1 needs N >= 2 (no negative pair otherwise)")
     a = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        a[_flat(i, 0), _flat(i, 1)] = 1.0
-        a[_flat(i, 1), _flat((i + 1) % n, 0)] = -1.0
+    _class_diagonal(a, 0, 1, n)[:] = 1.0
+    _class_diagonal(a, 1, 2, n - 1)[:] = -1.0
+    a[-1, 0] = -1.0  # (N,2)-(1,1) closes the cycle
     return AffinityMatrix(a, n)
 
 
@@ -61,12 +67,12 @@ def type2_affinity(n):
     if n < 2:
         raise ValueError("type 2 needs N >= 2 (no negative pair otherwise)")
     a = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        j = (i + 1) % n
-        a[_flat(i, 0), _flat(i, 1)] = 1.0
-        a[_flat(i, 1), _flat(i, 0)] = 1.0
-        a[_flat(i, 0), _flat(j, 1)] = -1.0
-        a[_flat(i, 1), _flat(j, 0)] = -1.0
+    _class_diagonal(a, 0, 1, n)[:] = 1.0
+    _class_diagonal(a, 1, 0, n)[:] = 1.0
+    _class_diagonal(a, 0, 3, n - 1)[:] = -1.0
+    _class_diagonal(a, 1, 2, n - 1)[:] = -1.0
+    a[-2, 1] = -1.0  # class N against class 1 closes the cycle
+    a[-1, 0] = -1.0
     return AffinityMatrix(a, n)
 
 
@@ -75,13 +81,9 @@ def type3_affinity(n):
     if n < 1:
         raise ValueError("N >= 1 required")
     a = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        for j in range(n):
-            a[_flat(i, 0), _flat(j, 1)] = 1.0 if i == j else -1.0
+    a[0::2, 1::2] = -1.0
+    _class_diagonal(a, 0, 1, n)[:] = 1.0
     return AffinityMatrix(a, n)
-
-
-episode_affinity = type3_affinity
 
 
 def type4_affinity(n):
@@ -89,15 +91,10 @@ def type4_affinity(n):
     if n < 1:
         raise ValueError("N >= 1 required")
     a = -np.ones((2 * n, 2 * n))
-    for i in range(n):
-        a[_flat(i, 0), _flat(i, 1)] = 1.0
-        a[_flat(i, 1), _flat(i, 0)] = 1.0
-        a[_flat(i, 0), _flat(i, 0)] = 0.0
-        a[_flat(i, 1), _flat(i, 1)] = 0.0
+    _class_diagonal(a, 0, 1, n)[:] = 1.0
+    _class_diagonal(a, 1, 0, n)[:] = 1.0
+    np.fill_diagonal(a, 0.0)
     return AffinityMatrix(a, n)
-
-
-ntxent_affinity = type4_affinity
 
 
 def semi_affinity(n_labeled, n_unlabeled, relaxed_unlabeled=False):
@@ -137,17 +134,3 @@ def validate(affinity, batch, allow_general=False):
     if not allow_general and not np.all(np.isin(a, (-1.0, 0.0, 1.0))):
         raise ValueError("affinity entries must be in {-1, 0, +1}")
     return AnchorMask(active=(a > 0).any(axis=1))
-
-
-def save_affinity(path, affinity):
-    """Plain-text grid: one row per line, space-separated entries."""
-    with open(path, "w") as fh:
-        for row in affinity.a:
-            fh.write(" ".join(format(v, "g") for v in row) + "\n")
-
-
-def load_affinity(path, n_labeled=None, n_unlabeled=0):
-    a = np.loadtxt(path, ndmin=2)
-    if n_labeled is None:
-        n_labeled = a.shape[0] // 2 - n_unlabeled
-    return AffinityMatrix(a, n_labeled, n_unlabeled)

@@ -8,9 +8,13 @@ order: all labeled entries sorted by (index, slot), then all unlabeled ones.
 That flattening is what lets the loss treat every affinity tensor as a plain
 square matrix.
 
-Batches also remember how each entry was formed from the encoder outputs that
-fed it (``sources``), so loss gradients on entries can be pushed back onto the
-individual encodings (e.g. through a prototype mean).
+Batches built from encoder outputs also carry a source map over the encoding
+pool, the rows that were encoded to form the batch. Every pool row feeds
+exactly one entry (a query, a support, a weight vector or a view), so the map
+is two arrays indexed by pool row: ``source_entry[r]`` is the entry row ``r``
+feeds and ``source_coeff[r]`` its weight in that entry, e.g. 1/(K'-1) for a
+support averaged into a prototype. Together they are the sparse matrix S with
+``z = S @ pool``, and the loss gradient on the pool is ``S.T @ grad_z``.
 """
 
 from dataclasses import dataclass, field
@@ -43,10 +47,9 @@ class RepresentationBatch:
     slots: np.ndarray  # (M,) int, 1 or 2
     n_labeled: int
     n_unlabeled: int
-    # Per entry: tuple of (source_row, coefficient) into the encoding pool.
-    sources: tuple = field(default=None, repr=False)
-    n_source_rows: int = 0
-    labeled_source_rows: int = 0
+    # Source map, one element per encoding-pool row (None without a pool):
+    source_entry: np.ndarray = field(default=None, repr=False)  # (R,) int entry fed
+    source_coeff: np.ndarray = field(default=None, repr=False)  # (R,) float weight
 
     def __post_init__(self):
         m = self.z.shape[0]
@@ -54,12 +57,27 @@ class RepresentationBatch:
             raise ValueError("entry count must be 2*(N + N')")
         if not np.all(np.isfinite(self.z)):
             raise ValueError("non-finite embedding values")
-        tags = list(zip(self.groups.tolist(), self.indices.tolist(), self.slots.tolist()))
-        if len(set(tags)) != m:
+        if m:
+            self._check_tags()
+
+    def _check_tags(self):
+        # Sort by (group, index, slot): duplicates become neighbours and each
+        # (group, index) pair becomes one run whose slots can be checked at once.
+        order = np.lexsort((self.slots, self.indices, self.groups))
+        g, i, s = self.groups[order], self.indices[order], self.slots[order]
+        same_pair = (g[1:] == g[:-1]) & (i[1:] == i[:-1])
+        if np.any(same_pair & (s[1:] == s[:-1])):
             raise ValueError("(group, index, slot) tags must be unique")
-        for u, i, _ in tags:
-            if (u, i, 1) not in tags or (u, i, 2) not in tags:
-                raise ValueError(f"both slots required for group={u}, index={i}")
+        new_pair = np.concatenate(([True], ~same_pair))
+        starts = np.flatnonzero(new_pair)
+        complete = (np.logical_or.reduceat(s == 1, starts)
+                    & np.logical_or.reduceat(s == 2, starts))
+        if not complete.all():
+            missing = np.empty(len(s), dtype=bool)
+            missing[order] = ~complete[np.cumsum(new_pair) - 1]
+            first = np.argmax(missing)  # name the first such entry in batch order
+            raise ValueError(f"both slots required for group={self.groups[first]}, "
+                             f"index={self.indices[first]}")
 
     @property
     def size(self):
@@ -68,36 +86,6 @@ class RepresentationBatch:
     @property
     def dim(self):
         return self.z.shape[1]
-
-    def split_by_group(self):
-        """Inverse of merge_semi_batch: recover the labeled and unlabeled parts."""
-        lab = self.groups == 0
-        off = self.labeled_source_rows
-        parts = []
-        for mask, n_lab, n_unl, shift, pool in (
-            (lab, self.n_labeled, 0, 0, off),
-            (~lab, 0, self.n_unlabeled, off, self.n_source_rows - off),
-        ):
-            idx = np.flatnonzero(mask)
-            src = None
-            if self.sources is not None:
-                src = tuple(
-                    tuple((row - shift, c) for row, c in self.sources[i]) for i in idx
-                )
-            parts.append(
-                RepresentationBatch(
-                    z=self.z[idx],
-                    groups=self.groups[idx],
-                    indices=self.indices[idx],
-                    slots=self.slots[idx],
-                    n_labeled=n_lab,
-                    n_unlabeled=n_unl,
-                    sources=src,
-                    n_source_rows=pool,
-                    labeled_source_rows=pool if n_lab else 0,
-                )
-            )
-        return parts[0], parts[1]
 
 
 def _tags(n, group):
@@ -140,19 +128,18 @@ def build_prototype_batch(encoded):
     z = np.empty((2 * n, d))
     z[0::2] = encoded[:, 0]
     z[1::2] = encoded[:, 1:].mean(axis=1)
-    coeff = 1.0 / (kp - 1)
-    sources = []
-    for i in range(n):
-        sources.append(((i * kp, 1.0),))
-        sources.append(tuple((i * kp + j, coeff) for j in range(1, kp)))
+    # Pool row i*K' + j feeds the query (j = 0) or the prototype of class i.
+    support = np.arange(kp) > 0
+    source_entry = (2 * np.arange(n)[:, None] + support).ravel()
+    source_coeff = np.tile(np.where(support, 1.0 / (kp - 1), 1.0), n)
     groups, indices, slots = _tags(n, 0)
-    return RepresentationBatch(z, groups, indices, slots, n, 0, tuple(sources), n * kp, n * kp)
+    return RepresentationBatch(z, groups, indices, slots, n, 0, source_entry, source_coeff)
 
 
 def build_weight_batch(encoded, weights):
     """Slot 1 = encoding, slot 2 = trainable weight vector (parameter prototype).
 
-    Source rows 0..N-1 are the encodings, N..2N-1 the weight vectors.
+    Pool rows 0..N-1 are the encodings, N..2N-1 the weight vectors.
     """
     encoded = np.asarray(encoded, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -162,12 +149,9 @@ def build_weight_batch(encoded, weights):
     z = np.empty((2 * n, d))
     z[0::2] = encoded
     z[1::2] = weights
-    sources = []
-    for i in range(n):
-        sources.append(((i, 1.0),))
-        sources.append(((n + i, 1.0),))
+    source_entry = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
     groups, indices, slots = _tags(n, 0)
-    return RepresentationBatch(z, groups, indices, slots, n, 0, tuple(sources), 2 * n, 2 * n)
+    return RepresentationBatch(z, groups, indices, slots, n, 0, source_entry, np.ones(2 * n))
 
 
 def build_augmented_batch(samples, t1, t2, encode):
@@ -185,9 +169,8 @@ def build_augmented_batch(samples, t1, t2, encode):
         views[2 * i] = t1(samples[i])
         views[2 * i + 1] = t2(samples[i])
     z = np.asarray(encode(views), dtype=float)
-    sources = tuple(((i, 1.0),) for i in range(2 * n))
     groups, indices, slots = _tags(n, 1)
-    return RepresentationBatch(z, groups, indices, slots, 0, n, sources, 2 * n)
+    return RepresentationBatch(z, groups, indices, slots, 0, n, np.arange(2 * n), np.ones(2 * n))
 
 
 def merge_semi_batch(z0, z1):
@@ -200,12 +183,10 @@ def merge_semi_batch(z0, z1):
         raise ValueError("merge expects an all-labeled batch then an all-unlabeled one")
     if z0.dim != z1.dim:
         raise ValueError(f"embedding dims differ: {z0.dim} vs {z1.dim}")
-    sources = None
-    if z0.sources is not None and z1.sources is not None:
-        off = z0.n_source_rows
-        sources = z0.sources + tuple(
-            tuple((row + off, c) for row, c in entry) for entry in z1.sources
-        )
+    source_entry = source_coeff = None
+    if z0.source_entry is not None and z1.source_entry is not None:
+        source_entry = np.concatenate([z0.source_entry, z1.source_entry + z0.size])
+        source_coeff = np.concatenate([z0.source_coeff, z1.source_coeff])
     return RepresentationBatch(
         z=np.vstack([z0.z, z1.z]),
         groups=np.concatenate([z0.groups, z1.groups]),
@@ -213,18 +194,13 @@ def merge_semi_batch(z0, z1):
         slots=np.concatenate([z0.slots, z1.slots]),
         n_labeled=z0.n_labeled,
         n_unlabeled=z1.n_unlabeled,
-        sources=sources,
-        n_source_rows=z0.n_source_rows + z1.n_source_rows,
-        labeled_source_rows=z0.n_source_rows,
+        source_entry=source_entry,
+        source_coeff=source_coeff,
     )
 
 
 def backprop_to_sources(batch, grad_z):
-    """Push per-entry gradients back onto the encoding pool rows."""
-    if batch.sources is None:
+    """Push per-entry gradients back onto the encoding pool rows (S.T @ grad_z)."""
+    if batch.source_entry is None:
         raise ValueError("batch carries no source bookkeeping")
-    out = np.zeros((batch.n_source_rows, batch.dim))
-    for entry, g in zip(batch.sources, grad_z):
-        for row, coeff in entry:
-            out[row] += coeff * g
-    return out
+    return batch.source_coeff[:, None] * grad_z[batch.source_entry]

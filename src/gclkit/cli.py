@@ -37,7 +37,6 @@ def _synth_cfg(cfg, seed):
         n_speakers=cfg["data.n_speakers"],
         utterances_per_speaker=cfg["data.utterances_per_speaker"],
         feature_dim=cfg["data.feature_dim"],
-        embedding_dim=cfg["train.embedding_dim"],
         intra_spread=cfg["data.intra_spread"],
         inter_spread=cfg["data.inter_spread"],
         seed=seed,

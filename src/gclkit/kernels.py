@@ -41,10 +41,6 @@ class KernelParams:
         self.gamma = max(self.gamma, GAMMA_MIN)
 
 
-def identity_proj(d):
-    return np.eye(d)
-
-
 def _cos(z, zp):
     nz, nzp = np.linalg.norm(z), np.linalg.norm(zp)
     if nz == 0.0 or nzp == 0.0:

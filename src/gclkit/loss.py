@@ -60,10 +60,6 @@ class LossReport:
         n = int(self.active.sum())
         return float(self.per_anchor[self.active].mean()) if n else 0.0
 
-    def csv_row(self, run_id, step):
-        gnorm = float(np.linalg.norm(self.grad_z)) if self.grad_z is not None else 0.0
-        return f"{run_id},{step},{self.loss!r},{self.mean_ratio!r},{gnorm!r}"
-
 
 def _evaluate(batch, affinity, kernel_params, options, with_grad):
     options = options or GclOptions()

@@ -16,7 +16,6 @@ class SyntheticConfig:
     n_speakers: int = 64
     utterances_per_speaker: int = 20
     feature_dim: int = 32
-    embedding_dim: int = 16
     intra_spread: float = 0.6
     inter_spread: float = 1.0
     seed: int = 0

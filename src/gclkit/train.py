@@ -210,9 +210,9 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
         # Push entry gradients back through prototypes/views onto the encodings.
         grad_src = batching.backprop_to_sources(rep, report.grad_z)
         grads = {}
-        split = rep.labeled_source_rows if rep.n_labeled else 0
+        split = 0 if rep0 is None else len(rep0.source_entry)
         if cache0 is not None:
-            g, _ = encoder.backward(cache0, grad_src[:split] if rep.n_unlabeled else grad_src)
+            g, _ = encoder.backward(cache0, grad_src[:split])
             for k, v in g.items():
                 grads[k] = grads.get(k, 0.0) + v
         if cache1 is not None:

@@ -67,9 +67,6 @@ class TestType3:
         a = aff.type3_affinity(1).a
         assert a[0, 1] == 1.0 and (a != 0).sum() == 1
 
-    def test_alias(self):
-        assert aff.episode_affinity is aff.type3_affinity
-
 
 class TestType4:
     def test_row_structure(self):
@@ -89,9 +86,6 @@ class TestType4:
         a = aff.type4_affinity(2).a
         assert a.shape == (4, 4)
         assert np.all(np.diag(a) == 0.0)
-
-    def test_alias(self):
-        assert aff.ntxent_affinity is aff.type4_affinity
 
 
 class TestSemi:
@@ -196,18 +190,96 @@ class TestValidate:
             aff.validate(aff.AffinityMatrix(np.zeros((4, 6)), 2), None)
 
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        for m in (aff.type2_affinity(4), aff.semi_affinity(2, 3)):
-            path = tmp_path / "a.txt"
-            aff.save_affinity(path, m)
-            back = aff.load_affinity(path, n_labeled=m.n_labeled,
-                                     n_unlabeled=m.n_unlabeled)
-            assert np.array_equal(back.a, m.a)
-            assert (back.n_labeled, back.n_unlabeled) == (m.n_labeled, m.n_unlabeled)
+def ref_type1(n):
+    a = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        a[flat(i, 0), flat(i, 1)] = 1.0
+        a[flat(i, 1), flat((i + 1) % n, 0)] = -1.0
+    return a
 
-    def test_golden_type4_n2(self, tmp_path):
-        path = tmp_path / "a.txt"
-        aff.save_affinity(path, aff.type4_affinity(2))
-        want = "0 1 -1 -1\n1 0 -1 -1\n-1 -1 0 1\n-1 -1 1 0\n"
-        assert path.read_text() == want
+
+def ref_type2(n):
+    a = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        j = (i + 1) % n
+        a[flat(i, 0), flat(i, 1)] = 1.0
+        a[flat(i, 1), flat(i, 0)] = 1.0
+        a[flat(i, 0), flat(j, 1)] = -1.0
+        a[flat(i, 1), flat(j, 0)] = -1.0
+    return a
+
+
+def ref_type3(n):
+    a = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        for j in range(n):
+            a[flat(i, 0), flat(j, 1)] = 1.0 if i == j else -1.0
+    return a
+
+
+def ref_type4(n):
+    a = -np.ones((2 * n, 2 * n))
+    for i in range(n):
+        a[flat(i, 0), flat(i, 1)] = 1.0
+        a[flat(i, 1), flat(i, 0)] = 1.0
+        a[flat(i, 0), flat(i, 0)] = 0.0
+        a[flat(i, 1), flat(i, 1)] = 0.0
+    return a
+
+
+def ref_semi(n_labeled, n_unlabeled, relaxed):
+    """Cell by cell from the (group, index, slot) tags of each entry.
+
+    An all-unlabeled batch keeps the plain type-4 layout: semi_affinity
+    applies ``relaxed_unlabeled`` only when labeled entries are present.
+    """
+    relaxed = relaxed and n_labeled > 0
+    tags = [(g, i, k) for g, count in ((0, n_labeled), (1, n_unlabeled))
+            for i in range(count) for k in (0, 1)]
+    a = np.empty((len(tags), len(tags)))
+    for p, (g, i, k) in enumerate(tags):
+        for q, (h, j, l) in enumerate(tags):
+            if p == q:
+                a[p, q] = 0.0
+            elif (g, i) == (h, j):
+                a[p, q] = 1.0
+            elif relaxed and g == h == 1:
+                a[p, q] = 0.0
+            else:
+                a[p, q] = -1.0
+    return a
+
+
+def assert_same_bytes(got, want):
+    # byte equality also pins the sign of every zero
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestReferenceLayouts:
+    """The vectorized builders against naive cell-by-cell constructions."""
+
+    @pytest.mark.parametrize("ctor,ref,n_min", [
+        (aff.type1_affinity, ref_type1, 2),
+        (aff.type2_affinity, ref_type2, 2),
+        (aff.type3_affinity, ref_type3, 1),
+        (aff.type4_affinity, ref_type4, 1),
+    ], ids=["type1", "type2", "type3", "type4"])
+    def test_types_match_reference(self, ctor, ref, n_min):
+        for n in range(n_min, 41):
+            m = ctor(n)
+            assert_same_bytes(m.a, ref(n))
+            assert (m.n_labeled, m.n_unlabeled) == (n, 0)
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_semi_matches_reference(self, relaxed):
+        for n, n_prime in ((1, 0), (0, 1), (5, 0), (0, 5), (1, 1), (2, 3), (4, 2),
+                           (13, 4), (7, 20)):
+            m = aff.semi_affinity(n, n_prime, relaxed_unlabeled=relaxed)
+            assert_same_bytes(m.a, ref_semi(n, n_prime, relaxed))
+            assert (m.n_labeled, m.n_unlabeled) == (n, n_prime)
+
+    def test_golden_type4_n2(self):
+        want = np.array([[0, 1, -1, -1], [1, 0, -1, -1], [-1, -1, 0, 1], [-1, -1, 1, 0]],
+                        dtype=float)
+        assert_same_bytes(aff.type4_affinity(2).a, want)

@@ -142,16 +142,6 @@ class TestMergeAndSplit:
         assert merged.size == 10
         assert merged.n_labeled == 2 and merged.n_unlabeled == 3
 
-    def test_round_trip_split(self, rng):
-        z0 = random_prototype_batch(rng, n=3, d=5)
-        z1 = random_augmented_batch(rng, n=2, d=5)
-        back0, back1 = batching.merge_semi_batch(z0, z1).split_by_group()
-        for orig, back in ((z0, back0), (z1, back1)):
-            assert np.array_equal(orig.z, back.z)
-            assert np.array_equal(orig.indices, back.indices)
-            assert orig.sources == back.sources
-            assert orig.n_source_rows == back.n_source_rows
-
     def test_rejects_mixed_or_mismatched(self, rng):
         z0 = random_prototype_batch(rng, n=2, d=4)
         z1 = random_augmented_batch(rng, n=2, d=5)
@@ -179,6 +169,17 @@ class TestRepresentationBatchValidation:
             batching.RepresentationBatch(np.zeros((2, 2)), np.zeros(2, int),
                                          np.array([1, 2]), np.array([1, 1]), 1, 0)
 
+    def test_rejects_duplicate_tag(self):
+        with pytest.raises(ValueError, match="unique"):
+            batching.RepresentationBatch(np.zeros((4, 2)), np.zeros(4, int),
+                                         np.array([1, 1, 2, 1]), np.array([1, 2, 1, 1]), 2, 0)
+
+    def test_missing_slot_names_first_pair_in_batch_order(self):
+        # pairs (0, 3) and (0, 1) both lack slot 2; (0, 3) comes first
+        with pytest.raises(ValueError, match="group=0, index=3"):
+            batching.RepresentationBatch(np.zeros((4, 2)), np.zeros(4, int),
+                                         np.array([3, 2, 2, 1]), np.array([1, 1, 2, 1]), 2, 0)
+
 
 class TestBackpropToSources:
     def test_prototype_gradient_split(self):
@@ -198,11 +199,49 @@ class TestBackpropToSources:
         merged = batching.merge_semi_batch(z0, z1)
         g = np.ones((merged.size, 3))
         out = batching.backprop_to_sources(merged, g)
-        assert out.shape == (z0.n_source_rows + z1.n_source_rows, 3)
+        n0 = len(z0.source_entry)
+        assert out.shape == (n0 + len(z1.source_entry), 3)
         assert np.all(out != 0)
+        # unlabeled pool rows follow the labeled ones and feed shifted entries
+        assert np.array_equal(merged.source_entry[:n0], z0.source_entry)
+        assert np.array_equal(merged.source_entry[n0:], z1.source_entry + z0.size)
 
     def test_requires_sources(self):
         rep = batching.RepresentationBatch(np.zeros((2, 2)), np.zeros(2, int),
                                            np.ones(2, int), np.array([1, 2]), 1, 0)
         with pytest.raises(ValueError):
             batching.backprop_to_sources(rep, np.zeros((2, 2)))
+
+
+class TestSourceMapAdjoint:
+    """backprop_to_sources is the adjoint of the source map S (z = S @ pool):
+    <g, z> must equal <S.T g, pool> for any entry gradient g."""
+
+    def assert_adjoint(self, rng, rep, pool):
+        g = rng.normal(size=rep.z.shape)
+        back = batching.backprop_to_sources(rep, g)
+        assert back.shape == pool.shape
+        assert np.sum(g * rep.z) == pytest.approx(np.sum(back * pool), abs=1e-12)
+
+    @pytest.mark.parametrize("kp", [2, 3, 5])
+    def test_prototype(self, rng, kp):
+        enc = rng.normal(size=(4, kp, 3))
+        rep = batching.build_prototype_batch(enc)
+        self.assert_adjoint(rng, rep, enc.reshape(4 * kp, 3))
+
+    def test_weight(self, rng):
+        enc, w = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        self.assert_adjoint(rng, batching.build_weight_batch(enc, w), np.vstack([enc, w]))
+
+    def test_augmented(self, rng):
+        samples = rng.normal(size=(4, 3))
+        rep = batching.build_augmented_batch(samples, lambda x: x, lambda x: x, lambda x: x)
+        self.assert_adjoint(rng, rep, np.repeat(samples, 2, axis=0))
+
+    def test_merged(self, rng):
+        enc = rng.normal(size=(3, 3, 4))
+        samples = rng.normal(size=(2, 4))
+        z0 = batching.build_prototype_batch(enc)
+        z1 = batching.build_augmented_batch(samples, lambda x: x, lambda x: x, lambda x: x)
+        pool = np.vstack([enc.reshape(9, 4), np.repeat(samples, 2, axis=0)])
+        self.assert_adjoint(rng, batching.merge_semi_batch(z0, z1), pool)

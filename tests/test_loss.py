@@ -131,14 +131,6 @@ class TestGclValues:
         with pytest.raises(FloatingPointError):
             losses.gcl(rep, aff.type4_affinity(1), params)
 
-    def test_csv_row(self, rng):
-        rep = random_prototype_batch(rng, n=2)
-        report = losses.gcl_grad(rep, aff.type3_affinity(2), KernelParams("sq-euclid"))
-        fields = report.csv_row("run0", 7).split(",")
-        assert fields[0] == "run0" and fields[1] == "7"
-        assert float(fields[2]) == report.loss
-        assert float(fields[4]) == pytest.approx(float(np.linalg.norm(report.grad_z)))
-
 
 class TestMonotonicity:
     def test_raising_positive_exponent_lowers_anchor_loss(self):

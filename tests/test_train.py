@@ -12,7 +12,7 @@ from gclkit.kernels import KernelParams
 
 def small_dataset(seed=0):
     cfg = synth.SyntheticConfig(n_speakers=16, utterances_per_speaker=8,
-                                feature_dim=8, embedding_dim=4, seed=seed)
+                                feature_dim=8, seed=seed)
     return synth.synth_dataset(cfg)
 
 

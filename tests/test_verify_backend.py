@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -66,7 +67,7 @@ class TestBackend:
         code = ("import gclkit.backend as b; print(b.BACKEND_NAME)")
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True,
-                             env={"PATH": "/usr/bin:/bin", "GCLKIT_BACKEND": "python"})
+                             env={**os.environ, "GCLKIT_BACKEND": "python"})
         assert out.stdout.strip() == "python"
 
     def test_inactive_rows_untouched(self, rng):
