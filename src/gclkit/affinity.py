@@ -14,19 +14,45 @@ plus the labeled+unlabeled block layout used for semi-supervised batches.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class AffinityMatrix:
+    """An affinity over a batch of ``2 * (n_labeled + n_unlabeled)`` entries.
+
+    ``a`` is kept as a read-only view, because the entry check and the anchor
+    mask are computed once per matrix: a write through ``a`` raises instead
+    of leaving them stale. The caller must not write to the array it passed
+    in either; the builders below hand over arrays nobody else holds.
+    """
+
     a: np.ndarray  # (M, M)
     n_labeled: int
     n_unlabeled: int = 0
 
+    def __post_init__(self):
+        a = np.asarray(self.a).view()
+        a.flags.writeable = False
+        object.__setattr__(self, "a", a)
+
     @property
     def size(self):
         return self.a.shape[0]
+
+    @cached_property
+    def ternary(self):
+        """True if every entry is -1, 0 or +1."""
+        return np.array_equal(np.sign(self.a), self.a)
+
+    @cached_property
+    def active(self):
+        """Read-only (M,) bool: rows with nonempty positive support."""
+        active = (self.a > 0).any(axis=1)
+        active.flags.writeable = False
+        return active
 
 
 @dataclass(frozen=True)
@@ -124,13 +150,14 @@ def validate(affinity, batch, allow_general=False):
     """Check matrix/batch consistency and mark anchors with no positive support.
 
     ``allow_general`` admits real-valued affinities (complete-form evaluation);
-    otherwise entries must be in {-1, 0, +1}.
+    otherwise entries must be in {-1, 0, +1}. The shape and size checks run on
+    every call; the entry check and the mask come from the matrix's memo.
     """
     a = affinity.a
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("affinity must be a square matrix")
     if batch is not None and a.shape[0] != batch.size:
         raise ValueError(f"affinity size {a.shape[0]} != batch size {batch.size}")
-    if not allow_general and not np.all(np.isin(a, (-1.0, 0.0, 1.0))):
+    if not allow_general and not affinity.ternary:
         raise ValueError("affinity entries must be in {-1, 0, +1}")
-    return AnchorMask(active=(a > 0).any(axis=1))
+    return AnchorMask(active=affinity.active)

@@ -24,5 +24,9 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm):
 
     e = np.ascontiguousarray(e, dtype=np.float64)
     a = np.ascontiguousarray(a, dtype=np.float64)
+    if _impl.IS_COMPILED and not a.flags.writeable:
+        # The compiled signature takes writable buffers (it only reads a);
+        # AffinityMatrix.a is read-only.
+        a = a.copy()
     active = np.ascontiguousarray(active, dtype=np.uint8)
     return _impl.ratio_terms(e, a, active, float(eps), bool(log_transform), float(inv_norm))

@@ -53,15 +53,19 @@ def eer(scores, labels):
     """Equal error rate of same/different-speaker scores (higher = more similar)."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=bool)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("EER needs finite scores")
     tgt = np.sort(scores[labels])
     non = np.sort(scores[~labels])
     if len(tgt) == 0 or len(non) == 0:
         raise ValueError("EER needs both target and non-target trials")
 
     # Operating points: accept if score >= threshold, thresholds at every score.
+    # The counts below each threshold come from binary search over the sorted
+    # scores: O(n log n) in all.
     thresholds = np.unique(scores)
-    far = np.array([(non >= t).mean() for t in thresholds])
-    frr = np.array([(tgt < t).mean() for t in thresholds])
+    far = (len(non) - np.searchsorted(non, thresholds, side="left")) / len(non)
+    frr = np.searchsorted(tgt, thresholds, side="left") / len(tgt)
     # Append the accept-nothing endpoint.
     thresholds = np.append(thresholds, thresholds[-1] + 1.0)
     far = np.append(far, 0.0)

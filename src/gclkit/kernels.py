@@ -86,8 +86,11 @@ class ExponentMatrix:
         self.params = params
         kind = params.kind
         if kind == "sq-euclid":
+            # -(|z|^2 + |z'|^2 - 2 z.z'), each (M, M) step in one buffer.
             sq = np.sum(self.z**2, axis=1)
-            self.e = -(sq[:, None] + sq[None, :] - 2.0 * self.z @ self.z.T)
+            self.e = sq[:, None] + sq[None, :]
+            self.e -= 2.0 * self.z @ self.z.T
+            np.negative(self.e, out=self.e)
             np.fill_diagonal(self.e, 0.0)
         else:
             self._u = self.z @ params.proj if kind == "cosine-temp" else self.z
@@ -99,7 +102,8 @@ class ExponentMatrix:
             if kind == "cosine-temp":
                 self.e = self._c / params.tau
             else:
-                self.e = params.gamma * self._c + params.beta
+                self.e = params.gamma * self._c
+                self.e += params.beta
 
     def backward(self, grad_e):
         """Returns (grad_z, grad_kernel dict with gamma/beta/proj where trainable)."""
@@ -113,9 +117,10 @@ class ExponentMatrix:
         if kind == "cosine-temp":
             grad_c = grad_e / self.params.tau
         else:
-            grad_c = self.params.gamma * grad_e
-            grad_kernel["gamma"] = float(np.sum(grad_e * self._c))
+            grad_c = grad_e * self._c
+            grad_kernel["gamma"] = float(np.sum(grad_c))
             grad_kernel["beta"] = float(np.sum(grad_e))
+            np.multiply(self.params.gamma, grad_e, out=grad_c)
 
         # c = v v^T with v = u / ||u||; radial components cancel on the diagonal.
         grad_v = (grad_c + grad_c.T) @ self._v

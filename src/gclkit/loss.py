@@ -7,7 +7,10 @@ The engine evaluates, per active anchor a,
 with s_ab = exp(e_ab) from a similarity kernel, and returns
 loss = -(1/M) * sum_a T(r_a). Positive affinities therefore get attracted
 when the loss is minimized. The per-anchor sums are computed with
-max-exponent subtraction, so arbitrarily large exponents are safe.
+max-exponent subtraction, so arbitrarily large exponents are safe. Very
+negative ones are not: once a row's largest exponent is below about -700,
+the stabilized guard ``eps * exp(-max)`` overflows, the ratio collapses to 0
+and the gradient turns NaN (``train()`` stops on it).
 
 ``oracle_episode`` and ``oracle_ntxent`` are deliberately naive direct
 implementations of the prototypical episode loss and the two-view NT-Xent
@@ -57,8 +60,8 @@ class LossReport:
 
     @property
     def mean_ratio(self):
-        n = int(self.active.sum())
-        return float(self.per_anchor[self.active].mean()) if n else 0.0
+        r = self.per_anchor[self.active]
+        return float(r.sum() / r.size) if r.size else 0.0  # np.mean's arithmetic, less overhead
 
 
 def _evaluate(batch, affinity, kernel_params, options, with_grad):

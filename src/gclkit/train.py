@@ -180,6 +180,12 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
     )
     opt = SgdMomentum(config.lr, config.momentum)
     metrics = []
+    # (N, N') is the same at every step, and so is the affinity over it.
+    n_classes, n_unlabeled = batch_composition(config)
+    if config.mode == "supervised":
+        matrix = getattr(aff, f"{config.affinity}_affinity")(n_classes)
+    else:
+        matrix = aff.semi_affinity(n_classes, n_unlabeled, config.relaxed_unlabeled)
 
     for step in range(config.steps):
         lab_mb, unl_mb = compose_semi_minibatch(dataset, unlabeled_pool, config, data_rng)
@@ -192,20 +198,19 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
 
         if config.mode == "supervised":
             rep = rep0
-            matrix = getattr(aff, f"{config.affinity}_affinity")(rep.n_labeled)
             report = losses.gcl_grad(rep, matrix, kernel_params, options)
         else:
             if rep0 is not None and rep1 is not None:
                 rep = batching.merge_semi_batch(rep0, rep1)
             else:
                 rep = rep0 if rep0 is not None else rep1
-            report = losses.gcl_semi(
-                rep, kernel_params=kernel_params, options=options,
-                relaxed_unlabeled=config.relaxed_unlabeled, with_grad=True,
-            )
+            report = losses.gcl_semi(rep, matrix, kernel_params, options, with_grad=True)
 
-        if not np.isfinite(report.loss):
-            raise FloatingPointError(f"training diverged at step {step}: loss={report.loss}")
+        # One check covers the loss and every gradient: NaN and inf propagate
+        # through the sum, and a non-finite value must not reach the update.
+        grad_norm = float(np.linalg.norm(report.grad_z))
+        if not np.isfinite(report.loss + grad_norm + sum(report.grad_kernel.values())).all():
+            raise FloatingPointError(_divergence(step, report, grad_norm))
 
         # Push entry gradients back through prototypes/views onto the encodings.
         grad_src = batching.backprop_to_sources(rep, report.grad_z)
@@ -220,7 +225,7 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
             for k, v in g.items():
                 grads[k] = grads.get(k, 0.0) + v
         for name in ("gamma", "beta", "proj"):
-            if report.grad_kernel and name in report.grad_kernel:
+            if name in report.grad_kernel:
                 grads[f"kernel.{name}"] = report.grad_kernel[name]
 
         params = dict(encoder.params)
@@ -241,7 +246,7 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
             mode=config.mode,
             loss=report.loss,
             mean_ratio=report.mean_ratio,
-            grad_norm=float(np.linalg.norm(report.grad_z)),
+            grad_norm=grad_norm,
             unlabeled_per_batch=rep.n_unlabeled,
         )
         if config.eval_every and val_trials is not None and (step + 1) % config.eval_every == 0:
@@ -249,6 +254,17 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
         metrics.append(rec)
 
     return TrainResult(encoder=encoder, kernel_params=kernel_params, metrics=metrics)
+
+
+def _divergence(step, report, grad_norm):
+    """Message for a step whose loss or gradients are not finite."""
+    if not np.isfinite(report.loss):
+        return f"training diverged at step {step} in the loss forward pass: loss={report.loss}"
+    bad = [] if np.isfinite(grad_norm) else [f"embedding gradient (norm {grad_norm})"]
+    bad += [f"kernel gradient {name}" for name, g in report.grad_kernel.items()
+            if not np.all(np.isfinite(g))]
+    return (f"training diverged at step {step} in the loss backward pass: "
+            f"{' and '.join(bad) or 'gradient sum'} not finite at loss={report.loss}")
 
 
 def evaluate_encoder(encoder, dataset, trials):

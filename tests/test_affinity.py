@@ -190,6 +190,51 @@ class TestValidate:
             aff.validate(aff.AffinityMatrix(np.zeros((4, 6)), 2), None)
 
 
+class TestMemoizedChecks:
+    def _batch(self, n):
+        rng = np.random.default_rng(0)
+        return build_prototype_batch(rng.normal(size=(n, 2, 3)))
+
+    def test_write_through_a_raises(self):
+        m = aff.type4_affinity(2)
+        with pytest.raises(ValueError, match="read-only"):
+            m.a[0, 1] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            m.active[0] = False
+
+    def test_callers_array_left_writable(self):
+        a = np.zeros((4, 4))
+        m = aff.AffinityMatrix(a, 2)
+        assert a.flags.writeable and not m.a.flags.writeable
+        assert np.shares_memory(a, m.a)
+
+    def test_memo_matches_direct_checks(self):
+        for m in (aff.type1_affinity(3), aff.type3_affinity(4),
+                  aff.semi_affinity(2, 3, relaxed_unlabeled=True)):
+            assert m.ternary
+            assert np.array_equal(m.active, (m.a > 0).any(axis=1))
+        for bad in (0.5, np.nan, np.inf, 2.0):
+            a = np.zeros((4, 4))
+            a[1, 2] = bad
+            assert not aff.AffinityMatrix(a, 2).ternary
+
+    def test_every_call_checks_shape_and_size(self):
+        m = aff.type4_affinity(2)
+        aff.validate(m, self._batch(2))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="size"):
+                aff.validate(m, self._batch(3))
+        general = aff.AffinityMatrix(np.full((4, 4), 0.5), 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="entries"):
+                aff.validate(general, self._batch(2))
+        assert aff.validate(general, self._batch(2), allow_general=True).count == 4
+        nonsquare = aff.AffinityMatrix(np.zeros((4, 6)), 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="square"):
+                aff.validate(nonsquare, None)
+
+
 def ref_type1(n):
     a = np.zeros((2 * n, 2 * n))
     for i in range(n):

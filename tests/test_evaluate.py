@@ -77,6 +77,53 @@ class TestEer:
         assert res.eer > 0.5
 
 
+def reference_eer(scores, labels):
+    """The direct sweep: one pass over the scores per threshold, O(n^2)."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=bool)
+    tgt = np.sort(scores[labels])
+    non = np.sort(scores[~labels])
+    thresholds = np.unique(scores)
+    far = np.array([(non >= t).mean() for t in thresholds])
+    frr = np.array([(tgt < t).mean() for t in thresholds])
+    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
+    far = np.append(far, 0.0)
+    frr = np.append(frr, 1.0)
+    diff = far - frr
+    idx = int(np.argmax(diff <= 0))
+    if idx == 0:
+        return ev.EerResult(float(far[0]), float(thresholds[0]), len(tgt), len(non))
+    d0, d1 = diff[idx - 1], diff[idx]
+    lam = 0.0 if d0 == d1 else d0 / (d0 - d1)
+    eer_val = far[idx - 1] + lam * (far[idx] - far[idx - 1])
+    thr = thresholds[idx - 1] + lam * (thresholds[idx] - thresholds[idx - 1])
+    return ev.EerResult(float(eer_val), float(thr), len(tgt), len(non))
+
+
+class TestEerAgainstReference:
+    def test_random_cases_with_ties_match_exactly(self):
+        rng = np.random.default_rng(17)
+        for case in range(200):
+            n = int(rng.integers(2, 300))
+            # Coarse rounding makes ties within and across the two classes.
+            decimals = int(rng.integers(0, 4))
+            scores = np.round(rng.normal(size=n) + rng.normal(0.0, 2.0), decimals)
+            labels = rng.random(n) < rng.uniform(0.1, 0.9)
+            labels[0], labels[1] = True, False
+            if case % 5 == 0:
+                scores[labels] += rng.uniform(-1.0, 3.0)
+            assert ev.eer(scores, labels) == reference_eer(scores, labels)
+
+    def test_all_scores_tied(self):
+        scores, labels = np.full(6, 0.25), np.array([1, 0, 1, 0, 0, 1], bool)
+        assert ev.eer(scores, labels) == reference_eer(scores, labels)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ev.eer([0.9, bad, 0.1, 0.2, 0.5], [1, 1, 0, 0, 0])
+
+
 def toy_split(n_speakers=5, per=4, seed=0):
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(n_speakers), per)

@@ -171,3 +171,29 @@ class TestBackward:
         z = rng.normal(size=(4, 3))
         p = kernels.KernelParams("cosine-temp", tau=0.7, proj=rng.normal(size=(3, 3)))
         self._check(z, p, rng.normal(size=(4, 4)), extra=("proj",))
+
+
+class TestInPlaceArithmetic:
+    """The exponent matrix and its backward pass equal the one-expression forms bit for bit."""
+
+    @pytest.mark.parametrize("scale", [0.3, 30.0])
+    def test_forward_and_backward_match_direct_expressions(self, rng, scale):
+        z = rng.normal(0.0, scale, size=(9, 5))
+        grad_e = rng.normal(size=(9, 9))
+        for params in (kernels.KernelParams("sq-euclid"),
+                       kernels.KernelParams("affine-cosine", gamma=7.0, beta=-3.0)):
+            em = kernels.ExponentMatrix(z, params)
+            if params.kind == "sq-euclid":
+                sq = np.sum(z**2, axis=1)
+                want = -(sq[:, None] + sq[None, :] - 2.0 * z @ z.T)
+                np.fill_diagonal(want, 0.0)
+            else:
+                want = params.gamma * em._c + params.beta
+            assert np.array_equal(em.e, want)
+            grad_z, grad_k = em.backward(grad_e)
+            if params.kind == "affine-cosine":
+                assert grad_k["gamma"] == float(np.sum(grad_e * em._c))
+                grad_c = params.gamma * grad_e
+                grad_v = (grad_c + grad_c.T) @ em._v
+                radial = np.sum(grad_v * em._v, axis=1, keepdims=True)
+                assert np.array_equal(grad_z, (grad_v - radial * em._v) / em._norms[:, None])

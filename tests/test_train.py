@@ -138,6 +138,43 @@ class TestTraining:
         with pytest.raises(FloatingPointError, match="diverged"):
             training.train(small_dataset(), small_config(steps=1), seed=0)
 
+    def test_non_finite_gradient_aborts_before_the_update(self):
+        # sq-euclid at lr=1.0 overflows the stabilizer: the loss stays finite
+        # while the gradient turns NaN, which must stop training at that step.
+        ds = synth.synth_dataset(synth.SyntheticConfig(seed=1))
+        cfg = training.TrainConfig(mode="supervised", kernel="sq-euclid", steps=50, lr=1.0)
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=r"step \d+ in the loss backward pass: embedding"):
+            training.train(ds, cfg, seed=1)
+
+    def test_non_finite_kernel_gradient_named(self, monkeypatch):
+        bad = losses.LossReport(loss=-0.5, per_anchor=np.zeros(12), active=np.ones(12, bool),
+                                verbatim=0.0, grad_z=np.zeros((12, 4)),
+                                grad_kernel={"gamma": float("nan"), "beta": 0.0})
+        monkeypatch.setattr(training.losses, "gcl_grad", lambda *a, **k: bad)
+        with pytest.raises(FloatingPointError, match="step 0 .* kernel gradient gamma"):
+            training.train(small_dataset(), small_config(steps=1), seed=0)
+
+    @pytest.mark.parametrize("mode", ["supervised", "semi", "unsupervised"])
+    def test_one_affinity_per_run(self, monkeypatch, mode):
+        calls = []
+
+        def counting(real):
+            def build(*args):
+                calls.append(args)
+                return real(*args)
+            return build
+
+        monkeypatch.setattr(aff, "type3_affinity", counting(aff.type3_affinity))
+        monkeypatch.setattr(aff, "semi_affinity", counting(aff.semi_affinity))
+        monkeypatch.setattr(losses, "semi_affinity", counting(losses.semi_affinity))
+        ds = small_dataset()
+        cfg = small_config(mode=mode, steps=4, unlabeled_fraction=0.5)
+        result = training.train(ds, cfg, seed=3, unlabeled_pool=ds.features)
+        assert len(result.metrics) == 4
+        n, n_unlabeled = training.batch_composition(cfg)
+        assert calls == [(n,) if mode == "supervised" else (n, n_unlabeled, False)]
+
     def test_gamma_stays_clamped(self):
         ds = small_dataset()
         cfg = small_config(gamma=1e-3, lr=5.0, steps=10)
