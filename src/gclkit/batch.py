@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .synth import _paired_views
+
 
 class CapacityError(ValueError):
     """Mini-batch request exceeds what the dataset can supply."""
@@ -98,21 +100,22 @@ def _tags(n, group):
 def two_step_sample(dataset, n, k, rng):
     """Sample N distinct classes, then K samples per class without replacement.
 
-    ``dataset`` needs ``features`` (n_rows, F) and ``labels`` (n_rows,).
+    ``dataset`` is a ``LabeledDataset``; its class index is built once per pool.
     """
-    classes, counts = np.unique(dataset.labels, return_counts=True)
+    classes, counts, order, starts = dataset.class_index
     if len(classes) < n:
         raise CapacityError(f"need {n} classes, dataset has {len(classes)}")
-    eligible = classes[counts >= k]
+    eligible = np.flatnonzero(counts >= k)
     if len(eligible) < n:
         raise CapacityError(f"need {n} classes with >= {k} samples, have {len(eligible)}")
     chosen = rng.choice(eligible, size=n, replace=False)
-    samples = np.empty((n, k, dataset.features.shape[1]))
-    for row, c in enumerate(chosen):
-        idx = np.flatnonzero(dataset.labels == c)
-        take = rng.choice(idx, size=k, replace=False)
-        samples[row] = dataset.features[take]
-    return LabeledMiniBatch(samples=samples, labels=np.asarray(chosen))
+    # One draw per class is the RNG stream; only the row lookup is batched.
+    take = np.empty((n, k), dtype=np.intp)
+    for row, count in enumerate(counts[chosen].tolist()):
+        take[row] = rng.choice(count, size=k, replace=False)
+    take += starts[chosen, None]
+    samples = dataset.features[order[take]].astype(float, copy=False)
+    return LabeledMiniBatch(samples=samples, labels=classes[chosen])
 
 
 def build_prototype_batch(encoded):
@@ -157,17 +160,18 @@ def build_weight_batch(encoded, weights):
 def build_augmented_batch(samples, t1, t2, encode):
     """Two augmented views per unlabeled sample, encoded into slots 1 and 2.
 
-    ``t1``/``t2`` are per-sample transforms (already drawn from the
-    augmentation family); ``encode`` maps (M, F) features to (M, D) embeddings.
+    ``t1``/``t2`` are one transform each for the whole batch (already drawn
+    from the augmentation family, or any callable on a feature row): every
+    sample gets view ``t1(x)`` in slot 1 and ``t2(x)`` in slot 2. Their
+    random draws are consumed in per-sample order, t1 then t2 for sample 0,
+    then for sample 1, and so on. ``encode`` maps (M, F) features to (M, D)
+    embeddings.
     """
     if isinstance(samples, UnlabeledMiniBatch):
         samples = samples.samples
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[0]
-    views = np.empty((2 * n, samples.shape[1]))
-    for i in range(n):
-        views[2 * i] = t1(samples[i])
-        views[2 * i + 1] = t2(samples[i])
+    views = _paired_views(samples, t1, t2).reshape(2 * n, samples.shape[1])
     z = np.asarray(encode(views), dtype=float)
     groups, indices, slots = _tags(n, 1)
     return RepresentationBatch(z, groups, indices, slots, 0, n, np.arange(2 * n), np.ones(2 * n))

@@ -83,28 +83,33 @@ def eer(scores, labels):
 
 
 def build_trials(dataset, n_pairs, rng):
-    """Balanced same/different-speaker pairs from a dataset split, by utterance id."""
-    labels = np.asarray(dataset.labels)
-    speakers = np.unique(labels)
-    if len(speakers) < 2:
+    """Balanced same/different-speaker pairs from a ``LabeledDataset``, by utterance id.
+
+    The first ``n_pairs // 2`` pairs are target pairs: two distinct
+    utterances of one speaker drawn among those with at least two.
+    """
+    speakers, counts, order, starts = dataset.class_index
+    n_speakers = len(speakers)
+    if n_speakers < 2:
         raise ValueError("need at least 2 speakers for trials")
-    by_speaker = {s: np.flatnonzero(labels == s) for s in speakers}
     n_target = n_pairs // 2
-    n_non = n_pairs - n_target
+    counts, starts = counts.tolist(), starts.tolist()
+    if n_target and max(counts) < 2:
+        raise ValueError("target trials need a speaker with at least 2 utterances")
+    # Positions in ``order``; rng.integers(0, n) is the stream of rng.choice(n).
     pairs = []
-    flags = []
     for _ in range(n_target):
-        s = rng.choice(speakers)
-        while len(by_speaker[s]) < 2:
-            s = rng.choice(speakers)
-        i, j = rng.choice(by_speaker[s], size=2, replace=False)
-        pairs.append((i, j))
-        flags.append(True)
-    for _ in range(n_non):
-        s1, s2 = rng.choice(speakers, size=2, replace=False)
-        pairs.append((rng.choice(by_speaker[s1]), rng.choice(by_speaker[s2])))
-        flags.append(False)
-    return TrialSet(pairs=np.array(pairs, dtype=int), labels=np.array(flags, dtype=bool))
+        s = rng.integers(0, n_speakers)
+        while counts[s] < 2:
+            s = rng.integers(0, n_speakers)
+        i, j = rng.choice(counts[s], size=2, replace=False).tolist()
+        pairs.append((starts[s] + i, starts[s] + j))
+    for _ in range(n_pairs - n_target):
+        s1, s2 = rng.choice(n_speakers, size=2, replace=False).tolist()
+        pairs.append((starts[s1] + rng.integers(0, counts[s1]),
+                      starts[s2] + rng.integers(0, counts[s2])))
+    pairs = order[np.array(pairs, dtype=int)]
+    return TrialSet(pairs=pairs, labels=np.arange(len(pairs)) < n_target)
 
 
 def save_trials(path, trials):

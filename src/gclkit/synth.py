@@ -7,6 +7,7 @@ coordinate dropout.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,12 +30,38 @@ class SyntheticConfig:
 
 @dataclass(frozen=True)
 class LabeledDataset:
+    """Feature rows with speaker ids.
+
+    ``labels`` is kept as a read-only view, because ``class_index`` is
+    computed from it once and then reused by every sampler.
+    """
+
     features: np.ndarray  # (n, F)
     labels: np.ndarray  # (n,) speaker ids
 
+    def __post_init__(self):
+        labels = np.asarray(self.labels).view()
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+
+    @cached_property
+    def class_index(self):
+        """(classes, counts, order, starts), read-only.
+
+        ``classes`` are the sorted distinct labels; the rows of ``classes[c]``
+        are ``order[starts[c]:starts[c] + counts[c]]`` in ascending order.
+        """
+        order = np.argsort(self.labels, kind="stable")
+        classes, starts, counts = np.unique(
+            self.labels[order], return_index=True, return_counts=True)
+        index = (classes, counts, order, starts)
+        for a in index:
+            a.flags.writeable = False
+        return index
+
     @property
     def n_speakers(self):
-        return len(np.unique(self.labels))
+        return len(self.class_index[0])
 
 
 def synth_dataset(config, rng=None):
@@ -94,25 +121,70 @@ class AugmentationSpec:
             raise ValueError("invalid gain range")
 
 
+NOISE, GAIN, DROPOUT = range(3)
+
+
+@dataclass(frozen=True)
+class Transform:
+    """One augmentation drawn from the family, callable on an array of any shape.
+
+    ``value`` is the noise sigma, the drawn gain or the dropout rate. Noise
+    and dropout draw from ``rng`` each time they are applied, one value per
+    element in C order; a gain draws nothing.
+    """
+
+    family: int  # NOISE, GAIN or DROPOUT
+    value: float
+    rng: "np.random.Generator"  # a string, so importing gclkit does not load numpy.random
+
+    def __call__(self, x):
+        if self.family == NOISE:
+            return x + self.rng.normal(0.0, self.value, size=x.shape)
+        if self.family == GAIN:
+            return self.value * x
+        return x * (self.rng.random(x.shape) >= self.value)
+
+
 def draw_transform(spec, rng):
-    """Draw one per-sample transform from the augmentation family."""
-    family = rng.integers(3)
-    if family == 0:
-        sigma = spec.noise_sigma
+    """Draw one transform from the augmentation family.
 
-        def t(x, _rng=rng, _s=sigma):
-            return x + _rng.normal(0.0, _s, size=x.shape)
-
-    elif family == 1:
-        gain = rng.uniform(spec.gain_low, spec.gain_high)
-
-        def t(x, _g=gain):
-            return _g * x
-
+    The family (and a gain's value) is drawn here; the transform is then
+    applied unchanged to every sample it is given.
+    """
+    family = int(rng.integers(3))
+    if family == NOISE:
+        value = spec.noise_sigma
+    elif family == GAIN:
+        value = rng.uniform(spec.gain_low, spec.gain_high)
     else:
-        rate = spec.dropout_rate
+        value = spec.dropout_rate
+    return Transform(family, value, rng)
 
-        def t(x, _rng=rng, _r=rate):
-            return x * (_rng.random(x.shape) >= _r)
 
-    return t
+def _paired_views(samples, t1, t2):
+    """(n, 2, F) views: ``t1`` and ``t2`` of every row of ``samples`` (n, F).
+
+    The draws come out as if ``t1`` then ``t2`` were applied to row 0, then
+    to row 1, and so on. Where that order allows, the views are drawn with
+    one call per batch instead of one per sample.
+    """
+    bulk = isinstance(t1, Transform) and isinstance(t2, Transform)
+    if bulk and (t1.rng is not t2.rng or GAIN in (t1.family, t2.family)):
+        # At most one of them draws from each generator, row after row.
+        return np.stack([t1(samples), t2(samples)], axis=1)
+    if bulk and t1.family == t2.family:
+        # Both draw from the same distribution: one draw covers both views.
+        n, f = samples.shape
+        # A per-view column; a scalar when both views agree (a broadcast
+        # normal() draw costs about twice a scalar one, same values).
+        value = t1.value if t1.value == t2.value else np.array([[t1.value], [t2.value]])
+        if t1.family == NOISE:
+            return samples[:, None] + t1.rng.normal(0.0, value, size=(n, 2, f))
+        return samples[:, None] * (t1.rng.random((n, 2, f)) >= value)
+    # Noise with dropout interleaves two distributions sample by sample, and
+    # an arbitrary callable may do anything: apply them per sample.
+    views = np.empty((samples.shape[0], 2, samples.shape[1]))
+    for i, x in enumerate(samples):
+        views[i, 0] = t1(x)
+        views[i, 1] = t2(x)
+    return views

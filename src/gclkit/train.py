@@ -10,6 +10,7 @@ Updates are plain SGD with momentum on the encoder parameters and on the
 trainable kernel parameters (gamma/beta or the projection head).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,7 +209,8 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
 
         # One check covers the loss and every gradient: NaN and inf propagate
         # through the sum, and a non-finite value must not reach the update.
-        grad_norm = float(np.linalg.norm(report.grad_z))
+        flat = report.grad_z.ravel(order="K")
+        grad_norm = math.sqrt(flat @ flat)  # np.linalg.norm's arithmetic
         if not np.isfinite(report.loss + grad_norm + sum(report.grad_kernel.values())).all():
             raise FloatingPointError(_divergence(step, report, grad_norm))
 
@@ -217,20 +219,16 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
         grads = {}
         split = 0 if rep0 is None else len(rep0.source_entry)
         if cache0 is not None:
-            g, _ = encoder.backward(cache0, grad_src[:split])
-            for k, v in g.items():
-                grads[k] = grads.get(k, 0.0) + v
+            grads, _ = encoder.backward(cache0, grad_src[:split])
         if cache1 is not None:
             g, _ = encoder.backward(cache1, grad_src[split:])
-            for k, v in g.items():
-                grads[k] = grads.get(k, 0.0) + v
+            grads = {k: grads[k] + v for k, v in g.items()} if grads else g
         for name in ("gamma", "beta", "proj"):
             if name in report.grad_kernel:
                 grads[f"kernel.{name}"] = report.grad_kernel[name]
 
-        params = dict(encoder.params)
-        params["kernel.gamma"] = np.asarray(kernel_params.gamma)
-        params["kernel.beta"] = np.asarray(kernel_params.beta)
+        params = {**encoder.params,
+                  "kernel.gamma": kernel_params.gamma, "kernel.beta": kernel_params.beta}
         if kernel_params.proj is not None:
             params["kernel.proj"] = kernel_params.proj
         opt.update(params, grads)
