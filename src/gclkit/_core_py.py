@@ -1,8 +1,4 @@
-"""NumPy fallback for the per-anchor ratio-loss kernel.
-
-Same contract as the compiled module ``gclkit._core``. Kept in pure NumPy so
-the package runs without a C toolchain; ``perfbench/run.py`` times both and
-checks their parity.
+"""The per-anchor ratio-loss kernel, in NumPy.
 
 The kernel makes each pass over the (M, M) matrices once, on the active rows
 only (a type-3 affinity has half its rows inactive), and builds the gradient
@@ -14,8 +10,6 @@ so the outputs are bit-identical to it.
 """
 
 import numpy as np
-
-IS_COMPILED = False
 
 
 def ratio_terms(e, a, active, eps, log_transform, inv_norm):

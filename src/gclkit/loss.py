@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._core_py import ratio_terms
 from .affinity import semi_affinity, validate
-from .backend import ratio_terms
 
 NORMALIZATIONS = ("active-count", "fixed-2n")
 TRANSFORMS = ("negated-ratio", "negated-log-ratio")

@@ -19,7 +19,9 @@ from . import affinity as aff
 from . import batch as batching
 from . import loss as losses
 from .encoder import Encoder
+from .evaluate import eer, score_trials
 from .kernels import GAMMA_MIN, KernelParams
+from .synth import AugmentationSpec, draw_transform
 
 MODES = ("supervised", "semi", "unsupervised")
 
@@ -150,8 +152,8 @@ def _unlabeled_branch(encoder, minibatch, config, aug_spec, rng):
         caches.append(cache)
         return z
 
-    t1 = synth_draw(aug_spec, rng)
-    t2 = synth_draw(aug_spec, rng)
+    t1 = draw_transform(aug_spec, rng)
+    t2 = draw_transform(aug_spec, rng)
     rep = batching.build_augmented_batch(minibatch, t1, t2, encode)
     return rep, caches[0]
 
@@ -164,8 +166,6 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
     ``dataset`` is the labeled pool (ignored in unsupervised mode if an
     explicit ``unlabeled_pool`` is given). Deterministic for a fixed seed.
     """
-    from .synth import AugmentationSpec
-
     init_rng = init_rng or np.random.default_rng([seed, 1])
     data_rng = data_rng or np.random.default_rng([seed, 2])
     augment_rng = augment_rng or np.random.default_rng([seed, 3])
@@ -266,14 +266,6 @@ def _divergence(step, report, grad_norm):
 
 
 def evaluate_encoder(encoder, dataset, trials):
-    from .evaluate import eer, score_trials
-
     emb = encoder(dataset.features)
     scores, labels = score_trials(trials, emb)
     return eer(scores, labels).eer
-
-
-def synth_draw(aug_spec, rng):
-    from .synth import draw_transform
-
-    return draw_transform(aug_spec, rng)

@@ -10,17 +10,13 @@ The digests were captured at commit 9653e11 (before the source map became
 two index arrays and the affinity builders lost their loops), with numpy 2.4
 on x86-64 and the NumPy backend. A deliberate numeric change must recapture
 them and say why.
-
-The runs are pinned to the NumPy kernel (``backend._impl = _core_py``): the
-compiled kernel rounds differently in the last bits, so with the extension
-importable every digest would differ while nothing is wrong.
 """
 
 import hashlib
 
 import pytest
 
-from gclkit import _core_py, backend, cli
+from gclkit import cli
 
 CONFIGS = {
     "supervised-type3": ("supervised", ""),
@@ -72,6 +68,5 @@ def run_digests(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_golden_run(tmp_path, monkeypatch, name):
-    monkeypatch.setattr(backend, "_impl", _core_py)
+def test_golden_run(tmp_path, name):
     assert run_digests(tmp_path, name) == GOLDEN[name]

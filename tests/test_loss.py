@@ -6,7 +6,7 @@ import pytest
 from gclkit import affinity as aff
 from gclkit import batch as batching
 from gclkit import loss as losses
-from gclkit.backend import ratio_terms
+from gclkit._core_py import ratio_terms
 from gclkit.kernels import KernelParams
 
 from conftest import random_augmented_batch, random_prototype_batch
