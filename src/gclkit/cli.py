@@ -5,8 +5,9 @@ CSV), eval (EER report), verify (self-check suites). Every command is a pure
 function of (config, seed); timestamps appear only in `# generated=` header
 lines so outputs can be compared byte-for-byte below them.
 
-All randomness derives from the single --seed through named substreams
-(data, init, augment, trials), so each component reproduces independently.
+All randomness derives from the single --seed through the named substreams
+of ``train.STREAMS`` (synth, init, data, augment, trials, split, hide), so
+each component reproduces independently.
 """
 
 import argparse
@@ -18,66 +19,18 @@ import numpy as np
 
 from . import evaluate as ev
 from . import synth, verify
-from .config import DEFAULTS, format_defaults, load_config
+from .config import SplitConfig, build, format_defaults, load_config
 from .encoder import Encoder
 from .kernels import KernelParams
-from .train import TrainConfig, train
+from .train import TrainConfig, substream, train
 
-STREAMS = {"data": 2, "init": 1, "augment": 3, "trials": 4}
 CSV_SCHEMA = "gclkit-metrics v1"
 CKPT_SCHEMA = "gclkit-checkpoint v1"
 
 
-def substream(seed, name):
-    return np.random.default_rng([seed, STREAMS[name]])
-
-
-def _synth_cfg(cfg, seed):
-    return synth.SyntheticConfig(
-        n_speakers=cfg["data.n_speakers"],
-        utterances_per_speaker=cfg["data.utterances_per_speaker"],
-        feature_dim=cfg["data.feature_dim"],
-        intra_spread=cfg["data.intra_spread"],
-        inter_spread=cfg["data.inter_spread"],
-        seed=seed,
-    )
-
-
-def _train_cfg(cfg, mode):
-    return TrainConfig(
-        mode=mode,
-        steps=cfg["train.steps"],
-        lr=cfg["train.lr"],
-        momentum=cfg["train.momentum"],
-        batch_slots=cfg["train.batch_slots"],
-        k_prime=cfg["train.k_prime"],
-        unlabeled_fraction=cfg["train.unlabeled_fraction"],
-        affinity=cfg["train.affinity"],
-        kernel=cfg["train.kernel"],
-        tau=cfg["kernel.tau"],
-        gamma=cfg["kernel.gamma"],
-        beta=cfg["kernel.beta"],
-        hidden_dim=cfg["train.hidden_dim"],
-        embedding_dim=cfg["train.embedding_dim"],
-        epsilon=cfg["loss.epsilon"],
-        ratio_transform=cfg["loss.ratio_transform"],
-        relaxed_unlabeled=cfg["affinity.relaxed_unlabeled"],
-        eval_every=cfg["train.eval_every"],
-    )
-
-
-def _aug_spec(cfg):
-    return synth.AugmentationSpec(
-        noise_sigma=cfg["augment.noise_sigma"],
-        gain_low=cfg["augment.gain_low"],
-        gain_high=cfg["augment.gain_high"],
-        dropout_rate=cfg["augment.dropout_rate"],
-    )
-
-
 def split_dataset(dataset, n_holdout, seed):
     """Deterministic split into (train speakers, held-out speakers for trials)."""
-    rng = np.random.default_rng([seed, 5])
+    rng = substream(seed, "split")
     speakers = np.unique(dataset.labels)
     held = rng.choice(speakers, size=n_holdout, replace=False) if n_holdout else []
     mask = np.isin(dataset.labels, held)
@@ -163,11 +116,13 @@ def write_metrics(path, metrics, timestamp=True):
 
 def cmd_synth(cfg, seed, out):
     out.mkdir(parents=True, exist_ok=True)
-    dataset = synth.synth_dataset(_synth_cfg(cfg, seed), np.random.default_rng([seed, 0]))
-    train_ds, held_ds = split_dataset(dataset, cfg["data.holdout_speakers"], seed)
+    split = build(SplitConfig, cfg)
+    dataset = synth.synth_dataset(build(synth.SyntheticConfig, cfg, seed=seed),
+                                  substream(seed, "synth"))
+    train_ds, held_ds = split_dataset(dataset, split.holdout_speakers, seed)
     save_dataset(out / "train.txt", train_ds)
     save_dataset(out / "holdout.txt", held_ds)
-    trials = ev.build_trials(held_ds, cfg["eval.n_pairs"], substream(seed, "trials"))
+    trials = ev.build_trials(held_ds, split.n_pairs, substream(seed, "trials"))
     ev.save_trials(out / "trials.txt", trials)
     print(f"wrote {out}/train.txt ({len(train_ds.labels)} rows), "
           f"holdout.txt ({len(held_ds.labels)} rows), trials.txt ({len(trials.labels)} pairs)")
@@ -178,21 +133,24 @@ def cmd_train(cfg, seed, out, mode=None):
     out.mkdir(parents=True, exist_ok=True)
     mode = mode or cfg["train.mode"]
     train_ds = load_dataset(out / "train.txt")
-    tc = _train_cfg(cfg, mode)
+    tc = build(TrainConfig, cfg, mode=mode)
 
     labeled_pool, unlabeled_pool = train_ds, None
     if mode == "semi":
         labeled_pool, unlabeled_pool = synth.hide_labels(
-            train_ds, cfg["data.labeled_speakers"], np.random.default_rng([seed, 6])
+            train_ds, build(SplitConfig, cfg).labeled_speakers, substream(seed, "hide")
         )
     elif mode == "unsupervised":
         labeled_pool, unlabeled_pool = None, train_ds.features
+    val_dataset = val_trials = None
+    if tc.eval_every > 0:
+        val_dataset = load_dataset(out / "holdout.txt")
+        val_trials = ev.load_trials(out / "trials.txt")
 
     result = train(
         labeled_pool, tc, seed=seed, unlabeled_pool=unlabeled_pool,
-        aug_spec=_aug_spec(cfg),
-        init_rng=substream(seed, "init"), data_rng=substream(seed, "data"),
-        augment_rng=substream(seed, "augment"),
+        aug_spec=build(synth.AugmentationSpec, cfg),
+        val_dataset=val_dataset, val_trials=val_trials,
     )
     save_checkpoint(out / "checkpoint.txt", result.encoder, result.kernel_params, mode)
     write_metrics(out / "metrics.csv", result.metrics)

@@ -1,45 +1,76 @@
 """Plain-text run configuration: one `key = value` per line, dotted sections.
 
+Each dotted key names one field of a settings dataclass, and that field's
+default is the key's default; ``KEYS`` is the only mapping between the two.
 Unknown keys are rejected so a typo can't silently fall back to a default.
 Values are coerced to the type of the corresponding default.
 """
 
-DEFAULTS = {
-    "data.n_speakers": 64,
-    "data.utterances_per_speaker": 20,
-    "data.feature_dim": 32,
-    "data.intra_spread": 0.6,
-    "data.inter_spread": 1.0,
-    "data.holdout_speakers": 16,
-    "data.labeled_speakers": 16,
-    "train.mode": "supervised",
-    "train.steps": 600,
-    "train.lr": 0.05,
-    "train.momentum": 0.9,
-    "train.batch_slots": 40,
-    "train.k_prime": 3,
-    "train.unlabeled_fraction": 0.10,
-    "train.affinity": "type3",
-    "train.kernel": "affine-cosine",
-    "train.hidden_dim": 64,
-    "train.embedding_dim": 16,
-    "train.eval_every": 0,
-    "kernel.tau": 0.5,
-    "kernel.gamma": 10.0,
-    "kernel.beta": -5.0,
-    "loss.epsilon": 1e-12,
-    "loss.ratio_transform": "negated-ratio",
-    "affinity.relaxed_unlabeled": False,
-    "augment.noise_sigma": 0.5,
-    "augment.gain_low": 0.8,
-    "augment.gain_high": 1.2,
-    "augment.dropout_rate": 0.1,
-    "eval.n_pairs": 400,
+from dataclasses import dataclass, fields
+
+from .synth import AugmentationSpec, SyntheticConfig
+from .train import TrainConfig
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    """How the CLI divides a synthetic dataset: speakers held out for the
+    trial list, speakers that keep their labels in semi mode, and trials."""
+
+    holdout_speakers: int = 16
+    labeled_speakers: int = 16
+    n_pairs: int = 400
+
+
+# Key order is the order of --print-defaults.
+KEYS = {
+    "data.n_speakers": (SyntheticConfig, "n_speakers"),
+    "data.utterances_per_speaker": (SyntheticConfig, "utterances_per_speaker"),
+    "data.feature_dim": (SyntheticConfig, "feature_dim"),
+    "data.intra_spread": (SyntheticConfig, "intra_spread"),
+    "data.inter_spread": (SyntheticConfig, "inter_spread"),
+    "data.holdout_speakers": (SplitConfig, "holdout_speakers"),
+    "data.labeled_speakers": (SplitConfig, "labeled_speakers"),
+    "train.mode": (TrainConfig, "mode"),
+    "train.steps": (TrainConfig, "steps"),
+    "train.lr": (TrainConfig, "lr"),
+    "train.momentum": (TrainConfig, "momentum"),
+    "train.batch_slots": (TrainConfig, "batch_slots"),
+    "train.k_prime": (TrainConfig, "k_prime"),
+    "train.unlabeled_fraction": (TrainConfig, "unlabeled_fraction"),
+    "train.affinity": (TrainConfig, "affinity"),
+    "train.kernel": (TrainConfig, "kernel"),
+    "train.hidden_dim": (TrainConfig, "hidden_dim"),
+    "train.embedding_dim": (TrainConfig, "embedding_dim"),
+    "train.eval_every": (TrainConfig, "eval_every"),
+    "kernel.tau": (TrainConfig, "tau"),
+    "kernel.gamma": (TrainConfig, "gamma"),
+    "kernel.beta": (TrainConfig, "beta"),
+    "loss.epsilon": (TrainConfig, "epsilon"),
+    "loss.ratio_transform": (TrainConfig, "ratio_transform"),
+    "affinity.relaxed_unlabeled": (TrainConfig, "relaxed_unlabeled"),
+    "augment.noise_sigma": (AugmentationSpec, "noise_sigma"),
+    "augment.gain_low": (AugmentationSpec, "gain_low"),
+    "augment.gain_high": (AugmentationSpec, "gain_high"),
+    "augment.dropout_rate": (AugmentationSpec, "dropout_rate"),
+    "eval.n_pairs": (SplitConfig, "n_pairs"),
 }
+
+DEFAULTS = {key: {f.name: f.default for f in fields(cls)}[name]
+            for key, (cls, name) in KEYS.items()}
 
 
 class ConfigError(ValueError):
     pass
+
+
+def build(cls, values, **overrides):
+    """A ``cls`` whose keyed fields take their values from a parsed config.
+
+    ``overrides`` set fields directly, e.g. ``seed=`` or ``mode=``.
+    """
+    kwargs = {name: values[key] for key, (owner, name) in KEYS.items() if owner is cls}
+    return cls(**{**kwargs, **overrides})
 
 
 def _coerce(key, raw):

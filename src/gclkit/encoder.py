@@ -1,7 +1,7 @@
 """Small two-layer embedding network with hand-written backprop.
 
-forward() returns the embeddings plus a cache; backward(cache, grad_out)
-returns parameter gradients (and the input gradient, for completeness).
+forward() returns the embeddings plus a cache; backward(cache, grad_z)
+returns the parameter gradients.
 """
 
 import numpy as np
@@ -39,8 +39,7 @@ class Encoder:
         dh = (grad_z @ self.params["W2"].T) * (1.0 - h * h)
         grads["W1"] = x.T @ dh
         grads["b1"] = dh.sum(axis=0)
-        grad_x = dh @ self.params["W1"].T
-        return grads, grad_x
+        return grads
 
     def flat_params(self):
         return np.concatenate([self.params[k].ravel() for k in sorted(self.params)])

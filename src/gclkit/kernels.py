@@ -37,9 +37,6 @@ class KernelParams:
         if self.kind != "cosine-temp":
             self.proj = None
 
-    def clamp(self):
-        self.gamma = max(self.gamma, GAMMA_MIN)
-
 
 def _cos(z, zp):
     nz, nzp = np.linalg.norm(z), np.linalg.norm(zp)

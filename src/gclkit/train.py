@@ -24,6 +24,13 @@ from .kernels import GAMMA_MIN, KernelParams
 from .synth import AugmentationSpec, draw_transform
 
 MODES = ("supervised", "semi", "unsupervised")
+# Every random draw of a run comes from one of these streams of its seed.
+STREAMS = {"synth": 0, "init": 1, "data": 2, "augment": 3, "trials": 4, "split": 5, "hide": 6}
+
+
+def substream(seed, name):
+    """The named random stream of a run seeded with ``seed``."""
+    return np.random.default_rng([seed, STREAMS[name]])
 
 
 @dataclass
@@ -159,16 +166,15 @@ def _unlabeled_branch(encoder, minibatch, config, aug_spec, rng):
 
 
 def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
-          val_dataset=None, val_trials=None, init_rng=None, data_rng=None,
-          augment_rng=None):
+          val_dataset=None, val_trials=None):
     """Run one training job; returns the encoder, kernel params and step metrics.
 
     ``dataset`` is the labeled pool (ignored in unsupervised mode if an
     explicit ``unlabeled_pool`` is given). Deterministic for a fixed seed.
     """
-    init_rng = init_rng or np.random.default_rng([seed, 1])
-    data_rng = data_rng or np.random.default_rng([seed, 2])
-    augment_rng = augment_rng or np.random.default_rng([seed, 3])
+    init_rng = substream(seed, "init")
+    data_rng = substream(seed, "data")
+    augment_rng = substream(seed, "augment")
     aug_spec = aug_spec or AugmentationSpec()
 
     f_dim = dataset.features.shape[1] if dataset is not None else unlabeled_pool.shape[1]
@@ -219,9 +225,9 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
         grads = {}
         split = 0 if rep0 is None else len(rep0.source_entry)
         if cache0 is not None:
-            grads, _ = encoder.backward(cache0, grad_src[:split])
+            grads = encoder.backward(cache0, grad_src[:split])
         if cache1 is not None:
-            g, _ = encoder.backward(cache1, grad_src[split:])
+            g = encoder.backward(cache1, grad_src[split:])
             grads = {k: grads[k] + v for k, v in g.items()} if grads else g
         for name in ("gamma", "beta", "proj"):
             if name in report.grad_kernel:

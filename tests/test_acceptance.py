@@ -69,10 +69,7 @@ def test_criterion_6_regime_ordering(capsys):
 
     def run(mode, dataset, seed, unlabeled_pool=None):
         cfg = TrainConfig(mode=mode, steps=600)
-        return train(dataset, cfg, seed=seed, unlabeled_pool=unlabeled_pool,
-                     init_rng=cli.substream(seed, "init"),
-                     data_rng=cli.substream(seed, "data"),
-                     augment_rng=cli.substream(seed, "augment"))
+        return train(dataset, cfg, seed=seed, unlabeled_pool=unlabeled_pool)
 
     for seed in seeds:
         ds = synth_dataset(SyntheticConfig(seed=seed), np.random.default_rng([seed, 0]))

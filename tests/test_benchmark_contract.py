@@ -3,7 +3,8 @@
 ``perfbench/`` changes only in benchmark changes, so a rename or a removed
 name in ``src/`` breaks the benchmark without any edit to it. It imports
 ``gclkit.backend`` and ``gclkit._core_py``, records ``gclkit.BACKEND_NAME``
-in its provenance (``compare.py`` refuses runs whose value differs), and its
+in its provenance (``compare.py`` refuses runs whose value differs), builds
+its held-out sets with ``cli.split_dataset`` and ``cli.substream``, and its
 tracer wraps every public function of the traced modules, asserts that traced
 and untraced losses are bit-equal, and reports spans by name.
 """
@@ -17,12 +18,13 @@ import numpy as np
 import pytest
 
 import gclkit
-from gclkit import _core_py, loss, synth
+from gclkit import _core_py, cli, loss, synth
 from gclkit import evaluate as evaluation
 from gclkit import train as training
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 MODES = ("supervised", "semi", "unsupervised")
 
@@ -33,6 +35,10 @@ def test_names_the_benchmark_imports():
     assert callable(_core_py.ratio_terms)
     with pytest.raises(ImportError):
         from gclkit import _core  # noqa: F401
+    assert workloads.cli is cli and callable(cli.split_dataset)
+    for seed in (1, 5):
+        assert (cli.substream(seed, "trials").random(3)
+                == np.random.default_rng([seed, 4]).random(3)).all()
 
 
 def _bindings():

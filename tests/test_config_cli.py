@@ -1,10 +1,47 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from gclkit import cli, config
+from gclkit import train as training
 from gclkit.encoder import Encoder
 from gclkit.kernels import KernelParams
-from gclkit.synth import SyntheticConfig, synth_dataset
+from gclkit.synth import AugmentationSpec, SyntheticConfig, synth_dataset
+
+# --print-defaults byte for byte: its key order and value text are part of the CLI.
+PRINTED_DEFAULTS = """\
+data.n_speakers = 64
+data.utterances_per_speaker = 20
+data.feature_dim = 32
+data.intra_spread = 0.6
+data.inter_spread = 1.0
+data.holdout_speakers = 16
+data.labeled_speakers = 16
+train.mode = supervised
+train.steps = 600
+train.lr = 0.05
+train.momentum = 0.9
+train.batch_slots = 40
+train.k_prime = 3
+train.unlabeled_fraction = 0.1
+train.affinity = type3
+train.kernel = affine-cosine
+train.hidden_dim = 64
+train.embedding_dim = 16
+train.eval_every = 0
+kernel.tau = 0.5
+kernel.gamma = 10.0
+kernel.beta = -5.0
+loss.epsilon = 1e-12
+loss.ratio_transform = negated-ratio
+affinity.relaxed_unlabeled = False
+augment.noise_sigma = 0.5
+augment.gain_low = 0.8
+augment.gain_high = 1.2
+augment.dropout_rate = 0.1
+eval.n_pairs = 400
+"""
 
 
 class TestConfigParsing:
@@ -37,11 +74,30 @@ class TestConfigParsing:
     def test_format_defaults_round_trips(self):
         assert config.parse_config(config.format_defaults()) == config.DEFAULTS
 
+    def test_every_field_named_by_exactly_one_key(self):
+        named = list(config.KEYS.values())
+        assert len(set(named)) == len(named)
+        owned = {(cls, f.name) for cls in (SyntheticConfig, config.SplitConfig,
+                                          training.TrainConfig, AugmentationSpec)
+                 for f in fields(cls)}
+        assert set(named) == owned - {(SyntheticConfig, "seed")}
+
+    def test_build_reads_keys_and_applies_overrides(self):
+        values = config.parse_config("train.steps = 7\naugment.gain_low = 0.5\n")
+        tc = config.build(training.TrainConfig, values, mode="semi")
+        assert (tc.steps, tc.mode, tc.lr) == (7, "semi", 0.05)
+        assert config.build(AugmentationSpec, values).gain_low == 0.5
+        assert config.build(SyntheticConfig, values, seed=3).seed == 3
+
 
 class TestSubstreams:
     def test_named_substreams_are_distinct(self):
-        draws = {name: cli.substream(0, name).random() for name in cli.STREAMS}
-        assert len(set(draws.values())) == len(cli.STREAMS)
+        assert training.STREAMS == {"synth": 0, "init": 1, "data": 2, "augment": 3,
+                                    "trials": 4, "split": 5, "hide": 6}
+        draws = {name: cli.substream(0, name).random() for name in training.STREAMS}
+        assert len(set(draws.values())) == len(training.STREAMS)
+        for name, index in training.STREAMS.items():
+            assert cli.substream(9, name).random() == np.random.default_rng([9, index]).random()
 
     def test_substream_reproducible(self):
         assert cli.substream(5, "data").random() == cli.substream(5, "data").random()
@@ -121,9 +177,7 @@ eval.n_pairs = 40
 class TestCommands:
     def test_print_defaults(self, capsys):
         assert cli.main(["--print-defaults"]) == 0
-        out = capsys.readouterr().out
-        for key in config.DEFAULTS:
-            assert key in out
+        assert capsys.readouterr().out == PRINTED_DEFAULTS
 
     def test_no_command_shows_help(self, capsys):
         assert cli.main([]) == 2
@@ -187,6 +241,16 @@ class TestCommands:
         for k in init.params:
             assert np.array_equal(enc.params[k], init.params[k])
         assert params.gamma == 10.0 and params.beta == -5.0
+
+    def test_eval_every_fills_validation_column(self, tmp_path):
+        cfg = write_config(tmp_path, SMALL_CFG + "train.eval_every = 4\n")
+        out = tmp_path / "run"
+        base = ["--config", str(cfg), "--seed", "2", "--out", str(out)]
+        cli.main(["synth"] + base)
+        assert cli.main(["train"] + base) == 0
+        rows = [row.split(",") for row in (out / "metrics.csv").read_text().splitlines()[2:]]
+        assert [row[6] == "" for row in rows] == [True, True, True, False] * 2
+        assert all(0.0 <= float(row[6]) <= 1.0 for row in rows if row[6])
 
     def test_semi_mode_reports_unlabeled_column(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CFG + "train.unlabeled_fraction = 0.25\n")

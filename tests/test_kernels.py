@@ -65,11 +65,6 @@ class TestKernelParams:
         p = kernels.KernelParams("sq-euclid", proj=np.eye(3))
         assert p.proj is None
 
-    def test_gamma_clamp(self):
-        p = kernels.KernelParams("affine-cosine", gamma=-4.0)
-        p.clamp()
-        assert p.gamma == kernels.GAMMA_MIN
-
 
 def all_params(d, rng):
     return (
