@@ -2,7 +2,6 @@
 
 from .affinity import (
     AffinityMatrix,
-    AnchorMask,
     semi_affinity,
     type1_affinity,
     type2_affinity,

@@ -55,17 +55,6 @@ class AffinityMatrix:
         return active
 
 
-@dataclass(frozen=True)
-class AnchorMask:
-    """Rows with nonempty positive support; the others contribute no ratio term."""
-
-    active: np.ndarray  # (M,) bool
-
-    @property
-    def count(self):
-        return int(self.active.sum())
-
-
 def _class_diagonal(a, row, col, count):
     """View of ``a[row + 2t, col + 2t]`` for t = 0..count-1.
 
@@ -147,11 +136,13 @@ def semi_affinity(n_labeled, n_unlabeled, relaxed_unlabeled=False):
 
 
 def validate(affinity, batch, allow_general=False):
-    """Check matrix/batch consistency and mark anchors with no positive support.
+    """Check matrix/batch consistency and return the checked matrix.
 
     ``allow_general`` admits real-valued affinities (complete-form evaluation);
     otherwise entries must be in {-1, 0, +1}. The shape and size checks run on
-    every call; the entry check and the mask come from the matrix's memo.
+    every call; the entry check comes from the matrix's memo, and so does
+    ``.active``, the mask of anchors with nonempty positive support (the
+    others contribute no ratio term).
     """
     a = affinity.a
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -160,4 +151,4 @@ def validate(affinity, batch, allow_general=False):
         raise ValueError(f"affinity size {a.shape[0]} != batch size {batch.size}")
     if not allow_general and not affinity.ternary:
         raise ValueError("affinity entries must be in {-1, 0, +1}")
-    return AnchorMask(active=affinity.active)
+    return affinity

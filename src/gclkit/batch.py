@@ -6,7 +6,9 @@ class/sample index within its group; slot is the view index (1 = query/first
 view, 2 = prototype/second view). Entries are stored in canonical flattened
 order: all labeled entries sorted by (index, slot), then all unlabeled ones.
 That flattening is what lets the loss treat every affinity tensor as a plain
-square matrix.
+square matrix, so it is the one rule the tags obey: a batch whose tags differ
+from ``canonical_tags(N, N')`` anywhere is rejected, and every builder hands
+out those shared read-only arrays.
 
 Batches built from encoder outputs also carry a source map over the encoding
 pool, the rows that were encoded to form the batch. Every pool row feeds
@@ -18,6 +20,7 @@ support averaged into a prototype. Together they are the sparse matrix S with
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -59,27 +62,19 @@ class RepresentationBatch:
             raise ValueError("entry count must be 2*(N + N')")
         if not np.all(np.isfinite(self.z)):
             raise ValueError("non-finite embedding values")
-        if m:
-            self._check_tags()
-
-    def _check_tags(self):
-        # Sort by (group, index, slot): duplicates become neighbours and each
-        # (group, index) pair becomes one run whose slots can be checked at once.
-        order = np.lexsort((self.slots, self.indices, self.groups))
-        g, i, s = self.groups[order], self.indices[order], self.slots[order]
-        same_pair = (g[1:] == g[:-1]) & (i[1:] == i[:-1])
-        if np.any(same_pair & (s[1:] == s[:-1])):
-            raise ValueError("(group, index, slot) tags must be unique")
-        new_pair = np.concatenate(([True], ~same_pair))
-        starts = np.flatnonzero(new_pair)
-        complete = (np.logical_or.reduceat(s == 1, starts)
-                    & np.logical_or.reduceat(s == 2, starts))
-        if not complete.all():
-            missing = np.empty(len(s), dtype=bool)
-            missing[order] = ~complete[np.cumsum(new_pair) - 1]
-            first = np.argmax(missing)  # name the first such entry in batch order
-            raise ValueError(f"both slots required for group={self.groups[first]}, "
-                             f"index={self.indices[first]}")
+        tags = (self.groups, self.indices, self.slots)
+        if any(len(t) != m for t in tags):
+            raise ValueError(f"need {m} (group, index, slot) tags, got "
+                             f"{', '.join(str(len(t)) for t in tags)}")
+        canonical = canonical_tags(self.n_labeled, self.n_unlabeled)
+        wrong = np.zeros(m, dtype=bool)
+        for got, want in zip(tags, canonical):
+            wrong |= got != want
+        if wrong.any():
+            k = np.argmax(wrong)  # the first differing entry in batch order
+            raise ValueError(
+                f"tags must follow canonical order: entry {k} is {_tag(tags, k)}, "
+                f"canonical order puts {_tag(canonical, k)} there")
 
     @property
     def size(self):
@@ -90,10 +85,23 @@ class RepresentationBatch:
         return self.z.shape[1]
 
 
-def _tags(n, group):
-    groups = np.full(2 * n, group, dtype=int)
-    indices = np.repeat(np.arange(1, n + 1), 2)
-    slots = np.tile([1, 2], n)
+def _tag(tags, k):
+    g, i, s = (int(t[k]) for t in tags)
+    return f"(group={g}, index={i}, slot={s})"
+
+
+@cache
+def canonical_tags(n_labeled, n_unlabeled):
+    """Read-only (groups, indices, slots) of a batch in canonical flattened order.
+
+    Memoized per batch shape, so every batch of one shape shares the arrays.
+    """
+    groups = np.repeat([0, 1], [2 * n_labeled, 2 * n_unlabeled])
+    indices = np.concatenate([np.repeat(np.arange(1, n + 1), 2)
+                              for n in (n_labeled, n_unlabeled)])
+    slots = np.tile([1, 2], n_labeled + n_unlabeled)
+    for tag in (groups, indices, slots):
+        tag.flags.writeable = False
     return groups, indices, slots
 
 
@@ -135,8 +143,7 @@ def build_prototype_batch(encoded):
     support = np.arange(kp) > 0
     source_entry = (2 * np.arange(n)[:, None] + support).ravel()
     source_coeff = np.tile(np.where(support, 1.0 / (kp - 1), 1.0), n)
-    groups, indices, slots = _tags(n, 0)
-    return RepresentationBatch(z, groups, indices, slots, n, 0, source_entry, source_coeff)
+    return RepresentationBatch(z, *canonical_tags(n, 0), n, 0, source_entry, source_coeff)
 
 
 def build_weight_batch(encoded, weights):
@@ -153,8 +160,7 @@ def build_weight_batch(encoded, weights):
     z[0::2] = encoded
     z[1::2] = weights
     source_entry = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
-    groups, indices, slots = _tags(n, 0)
-    return RepresentationBatch(z, groups, indices, slots, n, 0, source_entry, np.ones(2 * n))
+    return RepresentationBatch(z, *canonical_tags(n, 0), n, 0, source_entry, np.ones(2 * n))
 
 
 def build_augmented_batch(samples, t1, t2, encode):
@@ -173,8 +179,7 @@ def build_augmented_batch(samples, t1, t2, encode):
     n = samples.shape[0]
     views = _paired_views(samples, t1, t2).reshape(2 * n, samples.shape[1])
     z = np.asarray(encode(views), dtype=float)
-    groups, indices, slots = _tags(n, 1)
-    return RepresentationBatch(z, groups, indices, slots, 0, n, np.arange(2 * n), np.ones(2 * n))
+    return RepresentationBatch(z, *canonical_tags(0, n), 0, n, np.arange(2 * n), np.ones(2 * n))
 
 
 def merge_semi_batch(z0, z1):
@@ -191,16 +196,9 @@ def merge_semi_batch(z0, z1):
     if z0.source_entry is not None and z1.source_entry is not None:
         source_entry = np.concatenate([z0.source_entry, z1.source_entry + z0.size])
         source_coeff = np.concatenate([z0.source_coeff, z1.source_coeff])
-    return RepresentationBatch(
-        z=np.vstack([z0.z, z1.z]),
-        groups=np.concatenate([z0.groups, z1.groups]),
-        indices=np.concatenate([z0.indices, z1.indices]),
-        slots=np.concatenate([z0.slots, z1.slots]),
-        n_labeled=z0.n_labeled,
-        n_unlabeled=z1.n_unlabeled,
-        source_entry=source_entry,
-        source_coeff=source_coeff,
-    )
+    n_labeled, n_unlabeled = z0.n_labeled, z1.n_unlabeled
+    return RepresentationBatch(np.vstack([z0.z, z1.z]), *canonical_tags(n_labeled, n_unlabeled),
+                               n_labeled, n_unlabeled, source_entry, source_coeff)
 
 
 def backprop_to_sources(batch, grad_z):

@@ -66,13 +66,14 @@ class LossReport:
 
 def _evaluate(batch, affinity, kernel_params, options, with_grad):
     options = options or GclOptions()
-    mask = validate(affinity, batch)
+    active = validate(affinity, batch).active
+    n_active = int(active.sum())
     m_total = batch.size
-    if mask.count == 0:
+    if n_active == 0:
         report = LossReport(
             loss=0.0,
             per_anchor=np.zeros(m_total),
-            active=mask.active,
+            active=active,
             verbatim=0.0,
             all_inactive=True,
         )
@@ -84,18 +85,15 @@ def _evaluate(batch, affinity, kernel_params, options, with_grad):
     em = kernels.exponent_matrix(batch, kernel_params)
     if not np.all(np.isfinite(em.e)):
         raise FloatingPointError("non-finite exponent in similarity matrix")
-    if options.anchor_normalization == "active-count":
-        norm = mask.count
-    else:
-        norm = m_total
+    norm = n_active if options.anchor_normalization == "active-count" else m_total
     log_transform = options.ratio_transform == "negated-log-ratio"
     loss, r, de = ratio_terms(
-        em.e, affinity.a, mask.active, options.epsilon, log_transform, 1.0 / norm
+        em.e, affinity.a, active, options.epsilon, log_transform, 1.0 / norm
     )
     report = LossReport(
         loss=float(loss),
         per_anchor=r,
-        active=mask.active,
+        active=active,
         verbatim=float(r.sum() / m_total),
     )
     if with_grad:

@@ -20,7 +20,7 @@ from . import batch as batching
 from . import loss as losses
 from .encoder import Encoder
 from .evaluate import eer, score_trials
-from .kernels import GAMMA_MIN, KernelParams
+from .kernels import GAMMA_MIN, KINDS, KernelParams
 from .synth import AugmentationSpec, draw_transform
 
 MODES = ("supervised", "semi", "unsupervised")
@@ -63,6 +63,10 @@ class TrainConfig:
             raise ValueError("k_prime must be >= 2")
         if self.affinity not in ("type3", "type4"):
             raise ValueError("supervised affinity must be type3 or type4")
+        if self.kernel not in KINDS:
+            raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {', '.join(KINDS)}")
+        if self.eval_every < 0:
+            raise ValueError("eval_every must be >= 0 (0 = off)")
 
 
 @dataclass
@@ -95,7 +99,6 @@ class SgdMomentum:
             v = g if v is None else self.momentum * v + g
             self.velocity[name] = v
             params[name] = params[name] - self.lr * v
-        return params
 
 
 def batch_composition(config):
@@ -143,7 +146,7 @@ def _make_kernel(config, rng):
     return KernelParams(kind="sq-euclid")
 
 
-def _labeled_branch(encoder, minibatch, config):
+def _labeled_branch(encoder, minibatch):
     n, kp, f = minibatch.samples.shape
     flat = minibatch.samples.reshape(n * kp, f)
     z, cache = encoder.forward(flat)
@@ -151,7 +154,7 @@ def _labeled_branch(encoder, minibatch, config):
     return rep, cache
 
 
-def _unlabeled_branch(encoder, minibatch, config, aug_spec, rng):
+def _unlabeled_branch(encoder, minibatch, aug_spec, rng):
     caches = []
 
     def encode(x):
@@ -199,19 +202,15 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
 
         rep0 = cache0 = rep1 = cache1 = None
         if lab_mb is not None:
-            rep0, cache0 = _labeled_branch(encoder, lab_mb, config)
+            rep0, cache0 = _labeled_branch(encoder, lab_mb)
         if unl_mb is not None:
-            rep1, cache1 = _unlabeled_branch(encoder, unl_mb, config, aug_spec, augment_rng)
-
-        if config.mode == "supervised":
-            rep = rep0
-            report = losses.gcl_grad(rep, matrix, kernel_params, options)
+            rep1, cache1 = _unlabeled_branch(encoder, unl_mb, aug_spec, augment_rng)
+        if rep0 is not None and rep1 is not None:
+            rep = batching.merge_semi_batch(rep0, rep1)
         else:
-            if rep0 is not None and rep1 is not None:
-                rep = batching.merge_semi_batch(rep0, rep1)
-            else:
-                rep = rep0 if rep0 is not None else rep1
-            report = losses.gcl_semi(rep, matrix, kernel_params, options, with_grad=True)
+            rep = rep0 if rep0 is not None else rep1
+        # The same loss in every regime; only the batch and its affinity differ.
+        report = losses.gcl_grad(rep, matrix, kernel_params, options)
 
         # One check covers the loss and every gradient: NaN and inf propagate
         # through the sum, and a non-finite value must not reach the update.
@@ -229,21 +228,10 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
         if cache1 is not None:
             g = encoder.backward(cache1, grad_src[split:])
             grads = {k: grads[k] + v for k, v in g.items()} if grads else g
-        for name in ("gamma", "beta", "proj"):
-            if name in report.grad_kernel:
-                grads[f"kernel.{name}"] = report.grad_kernel[name]
-
-        params = {**encoder.params,
-                  "kernel.gamma": kernel_params.gamma, "kernel.beta": kernel_params.beta}
-        if kernel_params.proj is not None:
-            params["kernel.proj"] = kernel_params.proj
-        opt.update(params, grads)
-        for k in encoder.params:
-            encoder.params[k] = params[k]
-        kernel_params.gamma = max(float(params["kernel.gamma"]), GAMMA_MIN)
-        kernel_params.beta = float(params["kernel.beta"])
-        if kernel_params.proj is not None:
-            kernel_params.proj = params["kernel.proj"]
+        # Update each parameter where it lives; grad_kernel keys are KernelParams fields.
+        opt.update(encoder.params, grads)
+        opt.update(vars(kernel_params), report.grad_kernel)
+        kernel_params.gamma = max(kernel_params.gamma, GAMMA_MIN)
 
         rec = StepRecord(
             step=step,

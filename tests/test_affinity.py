@@ -164,16 +164,19 @@ class TestValidate:
         return build_prototype_batch(rng.normal(size=(n, 2, 3)))
 
     def test_type3_active_counts(self):
-        mask = aff.validate(aff.type3_affinity(3), self._batch(3))
-        assert mask.count == 3
-        assert np.array_equal(mask.active, np.tile([True, False], 3))
+        m = aff.type3_affinity(3)
+        assert aff.validate(m, self._batch(3)) is m
+        active = m.active
+        assert active.sum() == 3
+        assert np.array_equal(active, np.tile([True, False], 3))
+        assert not active.flags.writeable
 
     def test_type4_all_active(self):
-        assert aff.validate(aff.type4_affinity(3), self._batch(3)).count == 6
+        assert aff.validate(aff.type4_affinity(3), self._batch(3)).active.sum() == 6
 
     def test_all_zero_all_inactive(self):
         m = aff.AffinityMatrix(np.zeros((6, 6)), 3)
-        assert aff.validate(m, self._batch(3)).count == 0
+        assert aff.validate(m, self._batch(3)).active.sum() == 0
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="size"):
@@ -228,7 +231,7 @@ class TestMemoizedChecks:
         for _ in range(2):
             with pytest.raises(ValueError, match="entries"):
                 aff.validate(general, self._batch(2))
-        assert aff.validate(general, self._batch(2), allow_general=True).count == 4
+        assert aff.validate(general, self._batch(2), allow_general=True).active.sum() == 4
         nonsquare = aff.AffinityMatrix(np.zeros((4, 6)), 2)
         for _ in range(2):
             with pytest.raises(ValueError, match="square"):

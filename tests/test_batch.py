@@ -165,20 +165,68 @@ class TestRepresentationBatchValidation:
                                          np.array([1, 2]), 1, 0)
 
     def test_rejects_missing_slot(self):
-        with pytest.raises(ValueError, match="slots"):
+        with pytest.raises(ValueError, match=r"entry 1 is \(group=0, index=2, slot=1\), "
+                                             r"canonical order puts \(group=0, index=1, slot=2\)"):
             batching.RepresentationBatch(np.zeros((2, 2)), np.zeros(2, int),
                                          np.array([1, 2]), np.array([1, 1]), 1, 0)
 
     def test_rejects_duplicate_tag(self):
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match=r"entry 3 is \(group=0, index=1, slot=1\), "
+                                             r"canonical order puts \(group=0, index=2, slot=2\)"):
             batching.RepresentationBatch(np.zeros((4, 2)), np.zeros(4, int),
                                          np.array([1, 1, 2, 1]), np.array([1, 2, 1, 1]), 2, 0)
 
     def test_missing_slot_names_first_pair_in_batch_order(self):
-        # pairs (0, 3) and (0, 1) both lack slot 2; (0, 3) comes first
-        with pytest.raises(ValueError, match="group=0, index=3"):
+        # pairs (0, 3) and (0, 1) both lack slot 2; entry 0 is the first to differ
+        with pytest.raises(ValueError, match=r"entry 0 is \(group=0, index=3, slot=1\)"):
             batching.RepresentationBatch(np.zeros((4, 2)), np.zeros(4, int),
                                          np.array([3, 2, 2, 1]), np.array([1, 1, 2, 1]), 2, 0)
+
+    @pytest.mark.parametrize("groups, indices, slots, n, first", [
+        ([0, 0, 0, 0], [1, 1, 2, 2], [2, 1, 2, 1], (2, 0), "group=0, index=1, slot=2"),
+        ([0, 0, 0, 0], [2, 2, 1, 1], [1, 2, 1, 2], (2, 0), "group=0, index=2, slot=1"),
+        ([1, 1, 0, 0], [1, 1, 1, 1], [1, 2, 1, 2], (1, 1), "group=1, index=1, slot=1"),
+    ])
+    def test_rejects_complete_unique_but_noncanonical(self, groups, indices, slots, n, first):
+        # every (group, index) pair has both slots exactly once, yet the order
+        # is not the one the affinity layouts index by
+        with pytest.raises(ValueError, match=rf"entry 0 is \({first}\)"):
+            batching.RepresentationBatch(np.zeros((4, 2)), np.array(groups), np.array(indices),
+                                         np.array(slots), *n)
+
+    def test_rejects_wrong_tag_length(self):
+        g, i, s = batching.canonical_tags(2, 0)
+        with pytest.raises(ValueError, match="need 4 .* tags, got 4, 3, 4"):
+            batching.RepresentationBatch(np.zeros((4, 2)), g, i[:3], s, 2, 0)
+        with pytest.raises(ValueError, match="need 4 .* tags, got 6, 6, 6"):
+            batching.RepresentationBatch(np.zeros((4, 2)), *batching.canonical_tags(3, 0), 2, 0)
+
+
+class TestCanonicalTags:
+    def test_layout(self):
+        g, i, s = batching.canonical_tags(2, 1)
+        assert g.tolist() == [0, 0, 0, 0, 1, 1]
+        assert i.tolist() == [1, 1, 2, 2, 1, 1]
+        assert s.tolist() == [1, 2, 1, 2, 1, 2]
+        assert all(len(t) == 0 for t in batching.canonical_tags(0, 0))
+
+    def test_read_only_and_memoized(self):
+        tags = batching.canonical_tags(3, 2)
+        assert batching.canonical_tags(3, 2) is tags
+        for t in tags:
+            with pytest.raises(ValueError, match="read-only"):
+                t[0] = 5
+
+    def test_builders_share_the_canonical_arrays(self, rng):
+        proto = batching.build_prototype_batch(rng.normal(size=(3, 2, 4)))
+        weight = batching.build_weight_batch(rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
+        aug = batching.build_augmented_batch(rng.normal(size=(2, 4)), lambda x: x, lambda x: x,
+                                             lambda x: x)
+        merged = batching.merge_semi_batch(proto, aug)
+        for rep, shape in ((proto, (3, 0)), (weight, (3, 0)), (aug, (0, 2)), (merged, (3, 2))):
+            for got, want in zip((rep.groups, rep.indices, rep.slots),
+                                 batching.canonical_tags(*shape)):
+                assert got is want
 
 
 class TestBackpropToSources:

@@ -4,7 +4,9 @@
 name in ``src/`` breaks the benchmark without any edit to it. It imports
 ``gclkit.backend`` and ``gclkit._core_py``, records ``gclkit.BACKEND_NAME``
 in its provenance (``compare.py`` refuses runs whose value differs), builds
-its held-out sets with ``cli.split_dataset`` and ``cli.substream``, and its
+its held-out sets with ``cli.split_dataset`` and ``cli.substream``, builds its
+engine batches by hand with explicit tags (so they must pass the batch tag
+rule), reads the anchor mask as ``affinity.validate(...).active``, and its
 tracer wraps every public function of the traced modules, asserts that traced
 and untraced losses are bit-equal, and reports spans by name.
 """
@@ -18,7 +20,8 @@ import numpy as np
 import pytest
 
 import gclkit
-from gclkit import _core_py, cli, loss, synth
+from gclkit import _core_py, affinity, cli, loss, synth
+from gclkit import batch as batching
 from gclkit import evaluate as evaluation
 from gclkit import train as training
 
@@ -91,3 +94,21 @@ def test_traced_training_matches_and_uninstalls(mode):
     assert training.draw_transform is synth.draw_transform
     assert training.eer is evaluation.eer
     assert _bindings() == before
+
+
+def test_engine_units_pass_the_batch_rules():
+    # A tag rule that rejected perfbench's hand-built batches would fail every
+    # engine unit of both workloads.
+    rng = np.random.default_rng(0)
+    for n_labeled, n_unlabeled in ((13, 0), (10, 3)):
+        batch = workloads._batch(rng, n_labeled, n_unlabeled)
+        for got, want in zip((batch.groups, batch.indices, batch.slots),
+                             batching.canonical_tags(n_labeled, n_unlabeled)):
+            assert np.array_equal(got, want)
+    units = workloads._engine_grid(np.random.default_rng(1), {13: 1})
+    assert units
+    for unit in units:
+        assert np.isfinite(workloads.run_engine_unit(unit).loss), unit.key
+        # run.compare_backends reads the anchor mask through validate()
+        active = affinity.validate(workloads.build_affinity(unit), unit.batch).active
+        assert active.dtype == bool and active.shape == (unit.batch.size,)

@@ -203,6 +203,19 @@ class TestCommands:
         cfg = write_config(tmp_path, "data.speakers = 4\n")
         assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("train.kernel = cosine", "unknown kernel 'cosine'"),
+        ("train.eval_every = -2", "eval_every must be >= 0"),
+    ])
+    def test_train_rejects_bad_setting(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path, SMALL_CFG + line + "\n")
+        out = tmp_path / "run"
+        base = ["--config", str(cfg), "--out", str(out)]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["train"] + base) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "checkpoint.txt").exists()
+
     def test_train_eval_pipeline(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CFG)
         out = tmp_path / "run"

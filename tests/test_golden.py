@@ -8,8 +8,9 @@ as a digest mismatch.
 
 The digests were captured at commit 9653e11 (before the source map became
 two index arrays and the affinity builders lost their loops), with numpy 2.4
-on x86-64 and the NumPy backend. A deliberate numeric change must recapture
-them and say why.
+on x86-64 and the NumPy backend. The sixth, ``unsupervised-sq-euclid``, where
+no kernel parameter is trained, was captured the same way at commit 38784c4.
+A deliberate numeric change must recapture them and say why.
 """
 
 import hashlib
@@ -26,6 +27,7 @@ CONFIGS = {
     "semi-relaxed-cosine": (
         "semi", "affinity.relaxed_unlabeled = true\ntrain.kernel = cosine-temp\n"
     ),
+    "unsupervised-sq-euclid": ("unsupervised", "train.kernel = sq-euclid\n"),
 }
 
 # name -> (sha256 of metrics.csv below the header, sha256 of checkpoint.txt)
@@ -49,6 +51,10 @@ GOLDEN = {
     "semi-relaxed-cosine": (
         "b355aad0e312898638a27abf1f813dc10b82177a10185b16c230b5af7bcdf59e",
         "377caa136a8c53ccdd8902afa49a32cd68a7b0dbf88f4e0e66f72bdd6d68e634",
+    ),
+    "unsupervised-sq-euclid": (
+        "a14173bddd0bc67d7c899ed1d99addfd60ff319e5125bb34278c63d9fc5d9c27",
+        "e3a4397f673838f3d23c7bccaf10250fc8f8d8f129a005908430139c2aa08eed",
     ),
 }
 

@@ -40,6 +40,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             training.TrainConfig(affinity="type1")
 
+    def test_kernel_names(self):
+        # an unknown name used to train silently with the sq-euclid kernel
+        with pytest.raises(ValueError, match="unknown kernel 'cosine'"):
+            training.TrainConfig(kernel="cosine")
+        for kind in ("sq-euclid", "cosine-temp", "affine-cosine"):
+            assert training.TrainConfig(kernel=kind).kernel == kind
+
+    def test_eval_every_nonnegative(self):
+        with pytest.raises(ValueError, match="eval_every"):
+            training.TrainConfig(eval_every=-2)
+        assert training.TrainConfig(eval_every=0).eval_every == 0
+
 
 class TestBatchComposition:
     def test_supervised_all_labeled(self):
