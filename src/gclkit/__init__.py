@@ -14,7 +14,6 @@ from .batch import (
     RepresentationBatch,
     build_augmented_batch,
     build_prototype_batch,
-    build_weight_batch,
     merge_semi_batch,
     two_step_sample,
 )

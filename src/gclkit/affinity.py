@@ -21,7 +21,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class AffinityMatrix:
-    """An affinity over a batch of ``2 * (n_labeled + n_unlabeled)`` entries.
+    """An (M, M) affinity over the M entries of a batch, in canonical order.
+
+    ``validate`` checks M against the batch size; the group sizes (N, N')
+    belong to the batch.
 
     ``a`` is kept as a read-only view, because the entry check and the anchor
     mask are computed once per matrix: a write through ``a`` raises instead
@@ -30,8 +33,6 @@ class AffinityMatrix:
     """
 
     a: np.ndarray  # (M, M)
-    n_labeled: int
-    n_unlabeled: int = 0
 
     def __post_init__(self):
         a = np.asarray(self.a).view()
@@ -74,7 +75,7 @@ def type1_affinity(n):
     _class_diagonal(a, 0, 1, n)[:] = 1.0
     _class_diagonal(a, 1, 2, n - 1)[:] = -1.0
     a[-1, 0] = -1.0  # (N,2)-(1,1) closes the cycle
-    return AffinityMatrix(a, n)
+    return AffinityMatrix(a)
 
 
 def type2_affinity(n):
@@ -88,7 +89,7 @@ def type2_affinity(n):
     _class_diagonal(a, 1, 2, n - 1)[:] = -1.0
     a[-2, 1] = -1.0  # class N against class 1 closes the cycle
     a[-1, 0] = -1.0
-    return AffinityMatrix(a, n)
+    return AffinityMatrix(a)
 
 
 def type3_affinity(n):
@@ -98,7 +99,7 @@ def type3_affinity(n):
     a = np.zeros((2 * n, 2 * n))
     a[0::2, 1::2] = -1.0
     _class_diagonal(a, 0, 1, n)[:] = 1.0
-    return AffinityMatrix(a, n)
+    return AffinityMatrix(a)
 
 
 def type4_affinity(n):
@@ -109,7 +110,7 @@ def type4_affinity(n):
     _class_diagonal(a, 0, 1, n)[:] = 1.0
     _class_diagonal(a, 1, 0, n)[:] = 1.0
     np.fill_diagonal(a, 0.0)
-    return AffinityMatrix(a, n)
+    return AffinityMatrix(a)
 
 
 def semi_affinity(n_labeled, n_unlabeled, relaxed_unlabeled=False):
@@ -121,10 +122,8 @@ def semi_affinity(n_labeled, n_unlabeled, relaxed_unlabeled=False):
     """
     if n_labeled < 0 or n_unlabeled < 0 or n_labeled + n_unlabeled < 1:
         raise ValueError("need at least one sample overall")
-    if n_unlabeled == 0:
-        return AffinityMatrix(type4_affinity(n_labeled).a, n_labeled, 0)
-    if n_labeled == 0:
-        return AffinityMatrix(type4_affinity(n_unlabeled).a, 0, n_unlabeled)
+    if n_labeled == 0 or n_unlabeled == 0:
+        return type4_affinity(n_labeled + n_unlabeled)
     m0, m1 = 2 * n_labeled, 2 * n_unlabeled
     a = -np.ones((m0 + m1, m0 + m1))
     a[:m0, :m0] = type4_affinity(n_labeled).a
@@ -132,7 +131,7 @@ def semi_affinity(n_labeled, n_unlabeled, relaxed_unlabeled=False):
     if relaxed_unlabeled:
         block = np.where(block < 0, 0.0, block)
     a[m0:, m0:] = block
-    return AffinityMatrix(a, n_labeled, n_unlabeled)
+    return AffinityMatrix(a)
 
 
 def validate(affinity, batch, allow_general=False):

@@ -12,10 +12,10 @@ out those shared read-only arrays.
 
 Batches built from encoder outputs also carry a source map over the encoding
 pool, the rows that were encoded to form the batch. Every pool row feeds
-exactly one entry (a query, a support, a weight vector or a view), so the map
-is two arrays indexed by pool row: ``source_entry[r]`` is the entry row ``r``
-feeds and ``source_coeff[r]`` its weight in that entry, e.g. 1/(K'-1) for a
-support averaged into a prototype. Together they are the sparse matrix S with
+exactly one entry (a query, a support or a view), so the map is two arrays
+indexed by pool row: ``source_entry[r]`` is the entry row ``r`` feeds and
+``source_coeff[r]`` its weight in that entry, e.g. 1/(K'-1) for a support
+averaged into a prototype. Together they are the sparse matrix S with
 ``z = S @ pool``, and the loss gradient on the pool is ``S.T @ grad_z``.
 """
 
@@ -37,11 +37,6 @@ class LabeledMiniBatch:
 
     samples: np.ndarray  # (N, K, F)
     labels: np.ndarray  # (N,)
-
-
-@dataclass(frozen=True)
-class UnlabeledMiniBatch:
-    samples: np.ndarray  # (N', F)
 
 
 @dataclass(frozen=True)
@@ -146,23 +141,6 @@ def build_prototype_batch(encoded):
     return RepresentationBatch(z, *canonical_tags(n, 0), n, 0, source_entry, source_coeff)
 
 
-def build_weight_batch(encoded, weights):
-    """Slot 1 = encoding, slot 2 = trainable weight vector (parameter prototype).
-
-    Pool rows 0..N-1 are the encodings, N..2N-1 the weight vectors.
-    """
-    encoded = np.asarray(encoded, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if encoded.shape != weights.shape:
-        raise ValueError(f"weights shape {weights.shape} != encodings shape {encoded.shape}")
-    n, d = encoded.shape
-    z = np.empty((2 * n, d))
-    z[0::2] = encoded
-    z[1::2] = weights
-    source_entry = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
-    return RepresentationBatch(z, *canonical_tags(n, 0), n, 0, source_entry, np.ones(2 * n))
-
-
 def build_augmented_batch(samples, t1, t2, encode):
     """Two augmented views per unlabeled sample, encoded into slots 1 and 2.
 
@@ -173,8 +151,6 @@ def build_augmented_batch(samples, t1, t2, encode):
     then for sample 1, and so on. ``encode`` maps (M, F) features to (M, D)
     embeddings.
     """
-    if isinstance(samples, UnlabeledMiniBatch):
-        samples = samples.samples
     samples = np.asarray(samples, dtype=float)
     n = samples.shape[0]
     views = _paired_views(samples, t1, t2).reshape(2 * n, samples.shape[1])

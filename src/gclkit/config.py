@@ -73,18 +73,16 @@ def build(cls, values, **overrides):
     return cls(**{**kwargs, **overrides})
 
 
-def _coerce(key, raw):
-    default = DEFAULTS[key]
+def _coerce(default, raw):
+    """``raw`` as the type of ``default``; ValueError if it does not parse."""
     if isinstance(default, bool):
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+        raise ValueError(raw)
+    if isinstance(default, (int, float)):
+        return type(default)(raw)
     return raw
 
 
@@ -100,7 +98,12 @@ def parse_config(text):
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw)
+        default = DEFAULTS[key]
+        try:
+            values[key] = _coerce(default, raw)
+        except ValueError:
+            kind = "boolean" if isinstance(default, bool) else type(default).__name__
+            raise ConfigError(f"line {lineno}: {key}: expected {kind}, got {raw!r}") from None
     return values
 
 

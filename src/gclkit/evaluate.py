@@ -39,10 +39,8 @@ def cosine_score(a, b):
     return np.where(denom == 0.0, 0.0, s)
 
 
-def score_trials(trials, embeddings, scoring="cosine"):
-    """Score each trial pair; returns (scores, labels)."""
-    if scoring != "cosine":
-        raise ValueError(f"unknown scoring {scoring!r}")
+def score_trials(trials, embeddings):
+    """Cosine-score each trial pair; returns (scores, labels)."""
     emb = np.asarray(embeddings, dtype=float)
     a = emb[trials.pairs[:, 0]]
     b = emb[trials.pairs[:, 1]]

@@ -136,5 +136,4 @@ class ExponentMatrix:
 
 def exponent_matrix(batch, params):
     """ExponentMatrix over all ordered entry pairs of a representation batch."""
-    z = batch.z if hasattr(batch, "z") else np.asarray(batch, dtype=float)
-    return ExponentMatrix(z, params)
+    return ExponentMatrix(batch.z, params)

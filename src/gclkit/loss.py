@@ -5,12 +5,14 @@ The engine evaluates, per active anchor a,
     r_a = sum_b max(0, alpha_ab) * s_ab / (sum_b |alpha_ab| * s_ab + eps)
 
 with s_ab = exp(e_ab) from a similarity kernel, and returns
-loss = -(1/M) * sum_a T(r_a). Positive affinities therefore get attracted
-when the loss is minimized. The per-anchor sums are computed with
-max-exponent subtraction, so arbitrarily large exponents are safe. Very
-negative ones are not: once a row's largest exponent is below about -700,
-the stabilized guard ``eps * exp(-max)`` overflows, the ratio collapses to 0
-and the gradient turns NaN (``train()`` stops on it).
+loss = -(1/A) * sum_a T(r_a), where A is the number of active anchors,
+the rows with a positive entry: all 2N rows for type 4, the N query rows
+of 2N for type 3. Positive affinities therefore get attracted when the
+loss is minimized. The per-anchor sums are computed with max-exponent
+subtraction, so arbitrarily large exponents are safe. Very negative ones
+are not: once a row's largest exponent is below about -700, the stabilized
+guard ``eps * exp(-max)`` overflows, the ratio collapses to 0 and the
+gradient turns NaN (``train()`` stops on it).
 
 ``oracle_episode`` and ``oracle_ntxent`` are deliberately naive direct
 implementations of the prototypical episode loss and the two-view NT-Xent
@@ -28,7 +30,6 @@ from . import kernels
 from ._core_py import ratio_terms
 from .affinity import semi_affinity, validate
 
-NORMALIZATIONS = ("active-count", "fixed-2n")
 TRANSFORMS = ("negated-ratio", "negated-log-ratio")
 PSI_CHOICES = ("identity", "ramp-margin", "negative-log")
 
@@ -36,14 +37,11 @@ PSI_CHOICES = ("identity", "ramp-margin", "negative-log")
 @dataclass
 class GclOptions:
     epsilon: float = 1e-12
-    anchor_normalization: str = "active-count"
     ratio_transform: str = "negated-ratio"
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.anchor_normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.anchor_normalization!r}")
         if self.ratio_transform not in TRANSFORMS:
             raise ValueError(f"unknown ratio transform {self.ratio_transform!r}")
 
@@ -53,8 +51,6 @@ class LossReport:
     loss: float
     per_anchor: np.ndarray  # ratio per entry, 0 on inactive anchors
     active: np.ndarray  # bool per entry
-    verbatim: float  # un-negated mean ratio over all 2(N+N') rows (diagnostic)
-    all_inactive: bool = False
     grad_z: np.ndarray = None
     grad_kernel: dict = None
 
@@ -68,15 +64,8 @@ def _evaluate(batch, affinity, kernel_params, options, with_grad):
     options = options or GclOptions()
     active = validate(affinity, batch).active
     n_active = int(active.sum())
-    m_total = batch.size
     if n_active == 0:
-        report = LossReport(
-            loss=0.0,
-            per_anchor=np.zeros(m_total),
-            active=active,
-            verbatim=0.0,
-            all_inactive=True,
-        )
+        report = LossReport(loss=0.0, per_anchor=np.zeros(batch.size), active=active)
         if with_grad:
             report.grad_z = np.zeros_like(batch.z)
             report.grad_kernel = {}
@@ -85,17 +74,11 @@ def _evaluate(batch, affinity, kernel_params, options, with_grad):
     em = kernels.exponent_matrix(batch, kernel_params)
     if not np.all(np.isfinite(em.e)):
         raise FloatingPointError("non-finite exponent in similarity matrix")
-    norm = n_active if options.anchor_normalization == "active-count" else m_total
     log_transform = options.ratio_transform == "negated-log-ratio"
     loss, r, de = ratio_terms(
-        em.e, affinity.a, active, options.epsilon, log_transform, 1.0 / norm
+        em.e, affinity.a, active, options.epsilon, log_transform, 1.0 / n_active
     )
-    report = LossReport(
-        loss=float(loss),
-        per_anchor=r,
-        active=active,
-        verbatim=float(r.sum() / m_total),
-    )
+    report = LossReport(loss=float(loss), per_anchor=r, active=active)
     if with_grad:
         report.grad_z, report.grad_kernel = em.backward(de)
     return report
@@ -157,7 +140,7 @@ def complete_form(batch, affinity, spec):
     m = int(active.sum())
     per_anchor = np.zeros(batch.size)
     if m == 0:
-        return LossReport(0.0, per_anchor, active, 0.0, all_inactive=True)
+        return LossReport(0.0, per_anchor, active)
     z = batch.z
     for i in np.flatnonzero(active):
         acc = 0.0
@@ -171,7 +154,7 @@ def complete_form(batch, affinity, spec):
         per_anchor[i] = acc
     sigma = 1.0 if spec.orientation == "cost" else -1.0
     loss = sigma * float(per_anchor[active].sum()) / m
-    return LossReport(loss, per_anchor, active, float(per_anchor.sum() / batch.size))
+    return LossReport(loss, per_anchor, active)
 
 
 def oracle_episode(batch):

@@ -59,6 +59,10 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not 0.0 <= self.unlabeled_fraction <= 1.0:
             raise ValueError("unlabeled_fraction must be in [0, 1]")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
+        if self.batch_slots < 1:
+            raise ValueError("batch_slots must be >= 1")
         if self.k_prime < 2:
             raise ValueError("k_prime must be >= 2")
         if self.affinity not in ("type3", "type4"):
@@ -120,7 +124,8 @@ def batch_composition(config):
 
 
 def compose_semi_minibatch(labeled_pool, unlabeled_pool, config, rng):
-    """Draw one mini-batch; either part may be empty depending on the mode."""
+    """Draw one mini-batch: a ``LabeledMiniBatch`` and an (N', F) array of
+    unlabeled rows; either part is None when the mode leaves it empty."""
     n_classes, n_unlabeled = batch_composition(config)
     lab = None
     unl = None
@@ -132,7 +137,7 @@ def compose_semi_minibatch(labeled_pool, unlabeled_pool, config, rng):
         if unlabeled_pool is None or len(unlabeled_pool) == 0:
             raise batching.CapacityError("unlabeled pool is empty")
         take = rng.choice(len(unlabeled_pool), size=n_unlabeled, replace=False)
-        unl = batching.UnlabeledMiniBatch(samples=unlabeled_pool[take])
+        unl = unlabeled_pool[take]
     return lab, unl
 
 
@@ -154,7 +159,7 @@ def _labeled_branch(encoder, minibatch):
     return rep, cache
 
 
-def _unlabeled_branch(encoder, minibatch, aug_spec, rng):
+def _unlabeled_branch(encoder, samples, aug_spec, rng):
     caches = []
 
     def encode(x):
@@ -164,7 +169,7 @@ def _unlabeled_branch(encoder, minibatch, aug_spec, rng):
 
     t1 = draw_transform(aug_spec, rng)
     t2 = draw_transform(aug_spec, rng)
-    rep = batching.build_augmented_batch(minibatch, t1, t2, encode)
+    rep = batching.build_augmented_batch(samples, t1, t2, encode)
     return rep, caches[0]
 
 

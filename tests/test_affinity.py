@@ -175,7 +175,7 @@ class TestValidate:
         assert aff.validate(aff.type4_affinity(3), self._batch(3)).active.sum() == 6
 
     def test_all_zero_all_inactive(self):
-        m = aff.AffinityMatrix(np.zeros((6, 6)), 3)
+        m = aff.AffinityMatrix(np.zeros((6, 6)))
         assert aff.validate(m, self._batch(3)).active.sum() == 0
 
     def test_size_mismatch(self):
@@ -183,14 +183,14 @@ class TestValidate:
             aff.validate(aff.type4_affinity(2), self._batch(3))
 
     def test_rejects_general_values_by_default(self):
-        m = aff.AffinityMatrix(np.full((4, 4), 0.5), 2)
+        m = aff.AffinityMatrix(np.full((4, 4), 0.5))
         with pytest.raises(ValueError, match="entries"):
             aff.validate(m, self._batch(2))
         aff.validate(m, self._batch(2), allow_general=True)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
-            aff.validate(aff.AffinityMatrix(np.zeros((4, 6)), 2), None)
+            aff.validate(aff.AffinityMatrix(np.zeros((4, 6))), None)
 
 
 class TestMemoizedChecks:
@@ -207,7 +207,7 @@ class TestMemoizedChecks:
 
     def test_callers_array_left_writable(self):
         a = np.zeros((4, 4))
-        m = aff.AffinityMatrix(a, 2)
+        m = aff.AffinityMatrix(a)
         assert a.flags.writeable and not m.a.flags.writeable
         assert np.shares_memory(a, m.a)
 
@@ -219,7 +219,7 @@ class TestMemoizedChecks:
         for bad in (0.5, np.nan, np.inf, 2.0):
             a = np.zeros((4, 4))
             a[1, 2] = bad
-            assert not aff.AffinityMatrix(a, 2).ternary
+            assert not aff.AffinityMatrix(a).ternary
 
     def test_every_call_checks_shape_and_size(self):
         m = aff.type4_affinity(2)
@@ -227,12 +227,12 @@ class TestMemoizedChecks:
         for _ in range(2):
             with pytest.raises(ValueError, match="size"):
                 aff.validate(m, self._batch(3))
-        general = aff.AffinityMatrix(np.full((4, 4), 0.5), 2)
+        general = aff.AffinityMatrix(np.full((4, 4), 0.5))
         for _ in range(2):
             with pytest.raises(ValueError, match="entries"):
                 aff.validate(general, self._batch(2))
         assert aff.validate(general, self._batch(2), allow_general=True).active.sum() == 4
-        nonsquare = aff.AffinityMatrix(np.zeros((4, 6)), 2)
+        nonsquare = aff.AffinityMatrix(np.zeros((4, 6)))
         for _ in range(2):
             with pytest.raises(ValueError, match="square"):
                 aff.validate(nonsquare, None)
@@ -317,7 +317,6 @@ class TestReferenceLayouts:
         for n in range(n_min, 41):
             m = ctor(n)
             assert_same_bytes(m.a, ref(n))
-            assert (m.n_labeled, m.n_unlabeled) == (n, 0)
 
     @pytest.mark.parametrize("relaxed", [False, True])
     def test_semi_matches_reference(self, relaxed):
@@ -325,7 +324,6 @@ class TestReferenceLayouts:
                            (13, 4), (7, 20)):
             m = aff.semi_affinity(n, n_prime, relaxed_unlabeled=relaxed)
             assert_same_bytes(m.a, ref_semi(n, n_prime, relaxed))
-            assert (m.n_labeled, m.n_unlabeled) == (n, n_prime)
 
     def test_golden_type4_n2(self):
         want = np.array([[0, 1, -1, -1], [1, 0, -1, -1], [-1, -1, 0, 1], [-1, -1, 1, 0]],

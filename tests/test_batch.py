@@ -79,32 +79,6 @@ class TestPrototypeBatch:
         assert np.allclose(scaled.z, c * base.z)
 
 
-class TestWeightBatch:
-    def test_pass_through(self):
-        rng = np.random.default_rng(0)
-        enc, w = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        rep = batching.build_weight_batch(enc, w)
-        assert rep.size == 6
-        assert np.array_equal(rep.z[1::2], w)
-        assert np.array_equal(rep.z[0::2], enc)
-
-    def test_n1(self):
-        rep = batching.build_weight_batch(np.ones((1, 2)), np.zeros((1, 2)))
-        assert rep.size == 2
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            batching.build_weight_batch(np.ones((2, 3)), np.ones((2, 4)))
-
-    def test_means_as_weights_match_prototype_batch(self):
-        # weight vectors set to the support means give the same embeddings
-        # as prototype construction
-        enc = np.random.default_rng(3).normal(size=(3, 4, 5))
-        proto = batching.build_prototype_batch(enc)
-        via_weights = batching.build_weight_batch(enc[:, 0], enc[:, 1:].mean(axis=1))
-        assert np.allclose(proto.z, via_weights.z)
-
-
 class TestAugmentedBatch:
     def test_identity_transforms_equal_views(self):
         samples = np.random.default_rng(0).normal(size=(3, 4))
@@ -219,11 +193,10 @@ class TestCanonicalTags:
 
     def test_builders_share_the_canonical_arrays(self, rng):
         proto = batching.build_prototype_batch(rng.normal(size=(3, 2, 4)))
-        weight = batching.build_weight_batch(rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
         aug = batching.build_augmented_batch(rng.normal(size=(2, 4)), lambda x: x, lambda x: x,
                                              lambda x: x)
         merged = batching.merge_semi_batch(proto, aug)
-        for rep, shape in ((proto, (3, 0)), (weight, (3, 0)), (aug, (0, 2)), (merged, (3, 2))):
+        for rep, shape in ((proto, (3, 0)), (aug, (0, 2)), (merged, (3, 2))):
             for got, want in zip((rep.groups, rep.indices, rep.slots),
                                  batching.canonical_tags(*shape)):
                 assert got is want
@@ -276,10 +249,6 @@ class TestSourceMapAdjoint:
         enc = rng.normal(size=(4, kp, 3))
         rep = batching.build_prototype_batch(enc)
         self.assert_adjoint(rng, rep, enc.reshape(4 * kp, 3))
-
-    def test_weight(self, rng):
-        enc, w = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        self.assert_adjoint(rng, batching.build_weight_batch(enc, w), np.vstack([enc, w]))
 
     def test_augmented(self, rng):
         samples = rng.normal(size=(4, 3))

@@ -8,9 +8,12 @@ its held-out sets with ``cli.split_dataset`` and ``cli.substream``, builds its
 engine batches by hand with explicit tags (so they must pass the batch tag
 rule), reads the anchor mask as ``affinity.validate(...).active``, and its
 tracer wraps every public function of the traced modules, asserts that traced
-and untraced losses are bit-equal, and reports spans by name.
+and untraced losses are bit-equal, and reports spans by name: each name in
+``run.LAYER_SPANS`` is a per-layer metric, so deleting the function behind it
+deletes the metric.
 """
 
+import ast
 import importlib
 import inspect
 import sys
@@ -25,7 +28,8 @@ from gclkit import batch as batching
 from gclkit import evaluate as evaluation
 from gclkit import train as training
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -42,6 +46,28 @@ def test_names_the_benchmark_imports():
     for seed in (1, 5):
         assert (cli.substream(seed, "trials").random(3)
                 == np.random.default_rng([seed, 4]).random(3)).all()
+
+
+def _layer_spans():
+    """``run.LAYER_SPANS``, read from the source: importing run.py rewrites the
+    BLAS thread variables of the whole test process."""
+    for node in ast.parse((PERFBENCH / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYER_SPANS"
+                                                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py assigns no LAYER_SPANS")
+
+
+def test_layer_spans_name_gclkit_functions():
+    names = _layer_spans()
+    assert "train.loop" in names
+    defined_as = {span: name for name, span in spans.RENAMES.items()}
+    for span in names:
+        module, *path = defined_as.get(span, span).split(".")
+        obj = importlib.import_module(f"gclkit.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        assert inspect.isfunction(obj), span
 
 
 def _bindings():

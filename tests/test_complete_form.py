@@ -47,9 +47,9 @@ class TestReductions:
 
     def test_all_zero_affinity(self, rng):
         rep = random_prototype_batch(rng, n=2)
-        m = aff.AffinityMatrix(np.zeros((4, 4)), 2)
+        m = aff.AffinityMatrix(np.zeros((4, 4)))
         report = losses.complete_form(rep, m, triplet_spec(0.5))
-        assert report.loss == 0.0 and report.all_inactive
+        assert report.loss == 0.0 and not report.active.any()
 
 
 class TestGeneralAffinities:
@@ -57,7 +57,7 @@ class TestGeneralAffinities:
         rep = random_prototype_batch(rng, n=2, kp=2, d=3)
         a = rng.normal(size=(4, 4))
         spec = losses.CompleteFormSpec(scorer=lambda z, zp, alpha: alpha * float(z @ zp))
-        report = losses.complete_form(rep, aff.AffinityMatrix(a, 2), spec)
+        report = losses.complete_form(rep, aff.AffinityMatrix(a), spec)
         # anchors: every row with some nonzero entry
         want_active = (a != 0).any(axis=1)
         assert np.array_equal(report.active, want_active)
@@ -80,5 +80,5 @@ class TestGeneralAffinities:
         a[0, 1] = 1.0  # single anchor summing exp-similarities
         spec = losses.CompleteFormSpec(
             scorer=lambda zi, zj, alpha: float(np.exp(zi @ zj)), psi="negative-log")
-        report = losses.complete_form(rep, aff.AffinityMatrix(a, 2), spec)
+        report = losses.complete_form(rep, aff.AffinityMatrix(a), spec)
         assert report.loss == pytest.approx(-1.0)  # -log(exp(1))

@@ -206,6 +206,8 @@ class TestCommands:
     @pytest.mark.parametrize("line, message", [
         ("train.kernel = cosine", "unknown kernel 'cosine'"),
         ("train.eval_every = -2", "eval_every must be >= 0"),
+        ("train.steps = -3", "steps must be >= 0"),
+        ("train.mode = unsupervised\ntrain.batch_slots = 0", "batch_slots must be >= 1"),
     ])
     def test_train_rejects_bad_setting(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, SMALL_CFG + line + "\n")
@@ -215,6 +217,18 @@ class TestCommands:
         assert cli.main(["train"] + base) == 2
         assert message in capsys.readouterr().err
         assert not (out / "checkpoint.txt").exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("train.steps = 1.5", "line 2: train.steps: expected int, got '1.5'"),
+        ("kernel.tau = fast", "line 2: kernel.tau: expected float, got 'fast'"),
+        ("data.holdout_speakers = 100", "cannot hold out 100 speakers: dataset has 64"),
+    ])
+    def test_synth_error_names_the_setting(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path, "# defaults but one\n" + line + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "train.txt").exists()
 
     def test_train_eval_pipeline(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CFG)

@@ -166,11 +166,6 @@ class TestScoreTrialsAndSerialization:
         assert scores[0] == pytest.approx(1.0) and scores[1] == pytest.approx(0.0)
         assert labels.dtype == bool
 
-    def test_unknown_scoring(self):
-        trials = ev.TrialSet(pairs=np.array([[0, 1]]), labels=np.array([True]))
-        with pytest.raises(ValueError):
-            ev.score_trials(trials, np.eye(2), scoring="plda")
-
     def test_trials_round_trip(self, tmp_path):
         trials = ev.build_trials(toy_split(), 12, np.random.default_rng(2))
         ev.save_trials(tmp_path / "t.txt", trials)

@@ -73,7 +73,7 @@ class TestStructuralCases:
         rep = random_prototype_batch(rng, n=3, kp=2, d=3)
         a = aff.type3_affinity(3).a.copy()
         a[:, 3] = 0.0  # cut entry 3 out of every anchor row (it anchors nothing)
-        m = aff.AffinityMatrix(a, 3)
+        m = aff.AffinityMatrix(a)
         report = losses.gcl_grad(rep, m, KernelParams("sq-euclid"))
         assert np.all(report.grad_z[3] == 0.0)
         assert np.any(report.grad_z[1] != 0.0)

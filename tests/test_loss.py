@@ -86,21 +86,11 @@ class TestGclValues:
 
     def test_all_inactive_is_zero_with_flag(self, rng):
         rep = random_prototype_batch(rng, n=2)
-        m = aff.AffinityMatrix(np.zeros((4, 4)), 2)
+        m = aff.AffinityMatrix(np.zeros((4, 4)))
         report = losses.gcl(rep, m, KernelParams("sq-euclid"))
-        assert report.loss == 0.0 and report.all_inactive
+        assert report.loss == 0.0 and not report.active.any()
         report = losses.gcl_grad(rep, m, KernelParams("sq-euclid"))
         assert np.all(report.grad_z == 0.0)
-
-    def test_fixed_2n_normalization_halves_type3(self, rng):
-        # type3 has N active anchors out of 2N rows, so the fixed-2N
-        # normalization is exactly half the active-count value
-        rep = random_prototype_batch(rng, n=4)
-        m = aff.type3_affinity(4)
-        active = losses.gcl(rep, m, KernelParams("sq-euclid")).loss
-        fixed = losses.gcl(rep, m, KernelParams("sq-euclid"),
-                           losses.GclOptions(anchor_normalization="fixed-2n")).loss
-        assert fixed == pytest.approx(0.5 * active, abs=1e-14)
 
     def test_negated_log_ratio_transform(self, rng):
         rep = random_prototype_batch(rng, n=3)
@@ -110,12 +100,6 @@ class TestGclValues:
         want = -np.mean(np.log(report.per_anchor[report.active]))
         assert report.loss == pytest.approx(want, abs=1e-12)
         assert report.loss > 0.0  # -log of ratios in (0,1)
-
-    def test_verbatim_diagnostic(self, rng):
-        rep = random_prototype_batch(rng, n=3)
-        report = losses.gcl(rep, aff.type3_affinity(3), KernelParams("sq-euclid"))
-        assert report.verbatim == pytest.approx(report.per_anchor.sum() / rep.size)
-        assert report.verbatim > 0.0 > report.loss
 
     def test_stability_under_huge_offset(self, rng):
         rep = random_prototype_batch(rng, n=3, kp=2)
@@ -207,8 +191,6 @@ class TestOptionsValidation:
             losses.GclOptions(epsilon=0.0)
 
     def test_unknown_choices(self):
-        with pytest.raises(ValueError):
-            losses.GclOptions(anchor_normalization="sum")
         with pytest.raises(ValueError):
             losses.GclOptions(ratio_transform="identity")
 

@@ -52,6 +52,17 @@ class TestConfigValidation:
             training.TrainConfig(eval_every=-2)
         assert training.TrainConfig(eval_every=0).eval_every == 0
 
+    def test_steps_and_batch_slots_bounds(self):
+        # steps=-3 used to write an untrained checkpoint and exit 0; an
+        # unsupervised batch_slots=0 made batch_composition return N = -1
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            training.TrainConfig(steps=-3)
+        with pytest.raises(ValueError, match="batch_slots must be >= 1"):
+            training.TrainConfig(mode="unsupervised", batch_slots=0)
+        assert training.TrainConfig(steps=0).steps == 0
+        one = training.TrainConfig(mode="unsupervised", batch_slots=1)
+        assert training.batch_composition(one) == (0, 1)
+
 
 class TestBatchComposition:
     def test_supervised_all_labeled(self):
@@ -143,7 +154,7 @@ class TestTraining:
 
     def test_divergence_aborts(self, monkeypatch):
         bad = losses.LossReport(loss=float("nan"), per_anchor=np.zeros(4),
-                                active=np.ones(4, bool), verbatim=0.0,
+                                active=np.ones(4, bool),
                                 grad_z=np.zeros((4, 4)), grad_kernel={})
         monkeypatch.setattr(losses, "gcl_grad", lambda *a, **k: bad)
         monkeypatch.setattr(training.losses, "gcl_grad", lambda *a, **k: bad)
@@ -161,7 +172,7 @@ class TestTraining:
 
     def test_non_finite_kernel_gradient_named(self, monkeypatch):
         bad = losses.LossReport(loss=-0.5, per_anchor=np.zeros(12), active=np.ones(12, bool),
-                                verbatim=0.0, grad_z=np.zeros((12, 4)),
+                                grad_z=np.zeros((12, 4)),
                                 grad_kernel={"gamma": float("nan"), "beta": 0.0})
         monkeypatch.setattr(training.losses, "gcl_grad", lambda *a, **k: bad)
         with pytest.raises(FloatingPointError, match="step 0 .* kernel gradient gamma"):
