@@ -92,6 +92,23 @@ class TestGclValues:
         report = losses.gcl_grad(rep, m, KernelParams("sq-euclid"))
         assert np.all(report.grad_z == 0.0)
 
+    def test_active_anchor_normalization_type3(self, rng):
+        # type3 has N active anchors out of 2N rows; the loss divides by the
+        # N active anchors, not by the 2N rows
+        rep = random_prototype_batch(rng, n=4)
+        report = losses.gcl(rep, aff.type3_affinity(4), KernelParams("sq-euclid"))
+        assert rep.size == 8 and int(report.active.sum()) == 4
+        assert np.all(report.per_anchor[~report.active] == 0.0)
+        assert report.loss == pytest.approx(-report.per_anchor.sum() / 4, abs=1e-14)
+
+    def test_mean_ratio_is_negated_loss(self, rng):
+        for _ in range(5):
+            rep = random_prototype_batch(rng)
+            report = losses.gcl(rep, aff.type4_affinity(rep.n_labeled),
+                                KernelParams("sq-euclid"))
+            assert report.mean_ratio == pytest.approx(-report.loss, abs=1e-14)
+            assert report.mean_ratio > 0.0
+
     def test_negated_log_ratio_transform(self, rng):
         rep = random_prototype_batch(rng, n=3)
         m = aff.type3_affinity(3)
