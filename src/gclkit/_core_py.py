@@ -7,12 +7,25 @@ the exponential and zeroed after it, because NumPy's exp leaves its
 vectorized path on -inf and runs several times slower there. Every element
 goes through the same operations in the same order as the direct formula,
 so the outputs are bit-identical to it.
+
+The affinity may be int8 (the built-in layouts) or float: the kernel only
+compares it with 0, so both give the same bits.
+
+The NT-Xent layout (type 4 and strict semi) has its own path, taken when the
+caller passes ``partner``, the column of each row's only positive, with
+every off-diagonal cell in the support (``AffinityMatrix.partner``). There
+the off-support mask is the diagonal, so ``w`` is built without masks, and
+the numerator is ``w[i, partner[i]]``: the direct formula's row sum adds
+only +0.0 to it, which leaves every value, NaN and inf unchanged. Off the
+partner cell the direct gradient's first term is ``0 * den``, which the path
+keeps (it is NaN where ``den`` is inf, and it fixes the sign of a zero), and
+the partner cells are then overwritten with the direct formula in O(M).
 """
 
 import numpy as np
 
 
-def ratio_terms(e, a, active, eps, log_transform, inv_norm):
+def ratio_terms(e, a, active, eps, log_transform, inv_norm, partner=None):
     """Per-anchor contrastive ratios, the scalar loss, and d(loss)/d(e).
 
     For each active anchor row ``i``:
@@ -25,11 +38,15 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm):
     Parameters
     ----------
     e : (M, M) float64 exponent matrix (similarities are exp(e)).
-    a : (M, M) float64 affinity matrix.
+    a : (M, M) int8 or float64 affinity matrix.
     active : (M,) bool, anchors with nonempty positive support.
     eps : denominator guard.
     log_transform : apply log to each ratio before averaging.
     inv_norm : 1 / normalization count.
+    partner : optional (M,) int, the column of each row's only positive when
+        every off-diagonal cell of ``a`` is nonzero and the diagonal is zero.
+        The results are the same with or without it; it is used only when
+        every row is active.
 
     Returns
     -------
@@ -41,22 +58,33 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm):
     rows = np.flatnonzero(active)
     if rows.size == 0:
         return 0.0, r, np.zeros((m, m))
-    if rows.size < m:
-        e = e[rows]
-        a = a[rows]
+    dense = partner is not None and rows.size == m
 
     # Row-wise max over the nonzero support, then w = exp(e - max) on the
     # support and 0 off it.
-    off = a == 0.0
-    w = np.where(off, -np.inf, e)
-    mx = w.max(axis=1)
-    w -= mx[:, None]
-    np.copyto(w, 0.0, where=off)
-    np.exp(w, out=w)
-    np.copyto(w, 0.0, where=off)
-    p = np.where(a > 0.0, w, 0.0)
-
-    num = p.sum(axis=1)
+    if dense:
+        w = e.copy()
+        diag = w.reshape(-1)[:: m + 1]  # the off-support cells
+        diag[:] = -np.inf
+        mx = w.max(axis=1)
+        w -= mx[:, None]
+        diag[:] = 0.0
+        np.exp(w, out=w)
+        diag[:] = 0.0
+        num = w[rows, partner]
+    else:
+        if rows.size < m:
+            e = e[rows]
+            a = a[rows]
+        off = a == 0
+        w = np.where(off, -np.inf, e)
+        mx = w.max(axis=1)
+        w -= mx[:, None]
+        np.copyto(w, 0.0, where=off)
+        np.exp(w, out=w)
+        np.copyto(w, 0.0, where=off)
+        p = np.where(a > 0, w, 0.0)
+        num = p.sum(axis=1)
     den = w.sum(axis=1) + eps * np.exp(-mx)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -73,6 +101,15 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm):
     loss = -inv_norm * float(terms.sum())
 
     # dr/de_ij = (p_ij * den - num * w_ij) / den^2 ; negatives have p_ij = 0.
+    if dense:
+        # Built in w's buffer: p_ij = 0 off the partner cells, which are then
+        # overwritten with p_ij = w_ij = num.
+        np.multiply(num[:, None], w, out=w)
+        np.subtract((0.0 * den)[:, None], w, out=w)
+        np.divide(w, (den * den)[:, None], out=w)
+        np.multiply(dl_dr[:, None], w, out=w)
+        w[rows, partner] = dl_dr * ((num * den - num * num) / (den * den))
+        return loss, r, w
     # Built in p's buffer, which becomes de (or its active rows).
     np.multiply(p, den[:, None], out=p)
     np.multiply(num[:, None], w, out=w)

@@ -11,6 +11,12 @@ constructors cover the standard supervised/unsupervised loss instances:
   type 4 — every entry against all others (NT-Xent style),
 
 plus the labeled+unlabeled block layout used for semi-supervised batches.
+
+The built-in layouts are stored as ``np.int8``: their entries are -1, 0 and
++1, and every consumer reads only whether a cell is zero or positive, so an
+int8 matrix gives the same loss as its float64 copy while its checks and
+comparisons touch an eighth of the bytes. ``AffinityMatrix`` keeps whatever
+dtype it is given, so real-valued user matrices work unchanged.
 """
 
 from dataclasses import dataclass
@@ -55,6 +61,30 @@ class AffinityMatrix:
         active.flags.writeable = False
         return active
 
+    @cached_property
+    def partner(self):
+        """Read-only (M,) column of each row's only positive, or None.
+
+        Set when the support of every row is every off-diagonal cell and
+        exactly one of them is positive: the NT-Xent layout of type 4 and
+        strict semi, or any matrix with that pattern of zero and positive
+        cells (the kernel reads no magnitudes). The ratio kernel then needs
+        no masks (see ``_core_py``). Found from the entries, once per matrix.
+        """
+        a = self.a
+        m = a.shape[0]
+        # count_nonzero, not .all()/.any(): this runs on every fresh matrix,
+        # where the reductions' call overhead is most of the cost.
+        if m == 0 or a.shape != (m, m) or np.count_nonzero(self.active) != m:
+            return None
+        pos = a > 0
+        if (np.count_nonzero(a) != m * (m - 1) or np.count_nonzero(a.diagonal())
+                or np.count_nonzero(pos) != m):
+            return None
+        partner = pos.argmax(axis=1)
+        partner.flags.writeable = False
+        return partner
+
 
 def _class_diagonal(a, row, col, count):
     """View of ``a[row + 2t, col + 2t]`` for t = 0..count-1.
@@ -71,10 +101,10 @@ def type1_affinity(n):
     """Disjoint pairs: (i,1)-(i,2) positive, (i,2)-(i+1 mod N,1) negative."""
     if n < 2:
         raise ValueError("type 1 needs N >= 2 (no negative pair otherwise)")
-    a = np.zeros((2 * n, 2 * n))
-    _class_diagonal(a, 0, 1, n)[:] = 1.0
-    _class_diagonal(a, 1, 2, n - 1)[:] = -1.0
-    a[-1, 0] = -1.0  # (N,2)-(1,1) closes the cycle
+    a = np.zeros((2 * n, 2 * n), dtype=np.int8)
+    _class_diagonal(a, 0, 1, n)[:] = 1
+    _class_diagonal(a, 1, 2, n - 1)[:] = -1
+    a[-1, 0] = -1  # (N,2)-(1,1) closes the cycle
     return AffinityMatrix(a)
 
 
@@ -82,13 +112,13 @@ def type2_affinity(n):
     """Triplets: cross-slot same class positive, cross-slot next class negative."""
     if n < 2:
         raise ValueError("type 2 needs N >= 2 (no negative pair otherwise)")
-    a = np.zeros((2 * n, 2 * n))
-    _class_diagonal(a, 0, 1, n)[:] = 1.0
-    _class_diagonal(a, 1, 0, n)[:] = 1.0
-    _class_diagonal(a, 0, 3, n - 1)[:] = -1.0
-    _class_diagonal(a, 1, 2, n - 1)[:] = -1.0
-    a[-2, 1] = -1.0  # class N against class 1 closes the cycle
-    a[-1, 0] = -1.0
+    a = np.zeros((2 * n, 2 * n), dtype=np.int8)
+    _class_diagonal(a, 0, 1, n)[:] = 1
+    _class_diagonal(a, 1, 0, n)[:] = 1
+    _class_diagonal(a, 0, 3, n - 1)[:] = -1
+    _class_diagonal(a, 1, 2, n - 1)[:] = -1
+    a[-2, 1] = -1  # class N against class 1 closes the cycle
+    a[-1, 0] = -1
     return AffinityMatrix(a)
 
 
@@ -96,41 +126,42 @@ def type3_affinity(n):
     """Episode layout: each slot-1 query vs all slot-2 entries, own class positive."""
     if n < 1:
         raise ValueError("N >= 1 required")
-    a = np.zeros((2 * n, 2 * n))
-    a[0::2, 1::2] = -1.0
-    _class_diagonal(a, 0, 1, n)[:] = 1.0
+    a = np.zeros((2 * n, 2 * n), dtype=np.int8)
+    a[0::2, 1::2] = -1
+    _class_diagonal(a, 0, 1, n)[:] = 1
     return AffinityMatrix(a)
+
+
+def _type4(n):
+    a = np.full((2 * n, 2 * n), -1, dtype=np.int8)
+    _class_diagonal(a, 0, 1, n)[:] = 1
+    _class_diagonal(a, 1, 0, n)[:] = 1
+    np.fill_diagonal(a, 0)
+    return a
 
 
 def type4_affinity(n):
     """NT-Xent layout: own other view positive, self zero, everything else negative."""
     if n < 1:
         raise ValueError("N >= 1 required")
-    a = -np.ones((2 * n, 2 * n))
-    _class_diagonal(a, 0, 1, n)[:] = 1.0
-    _class_diagonal(a, 1, 0, n)[:] = 1.0
-    np.fill_diagonal(a, 0.0)
-    return AffinityMatrix(a)
+    return AffinityMatrix(_type4(n))
 
 
 def semi_affinity(n_labeled, n_unlabeled, relaxed_unlabeled=False):
     """Block layout for mixed batches.
 
     Labeled-labeled and unlabeled-unlabeled blocks follow the type-4 layout;
-    every cross-group pair is negative. With ``relaxed_unlabeled``, distinct
-    unlabeled samples are ignored (0) instead of repelled (-1).
+    every cross-group pair is negative, so the strict layout is the type-4
+    layout over all N + N' samples. With ``relaxed_unlabeled`` (and labeled
+    samples present), distinct unlabeled samples are ignored (0) instead of
+    repelled (-1).
     """
     if n_labeled < 0 or n_unlabeled < 0 or n_labeled + n_unlabeled < 1:
         raise ValueError("need at least one sample overall")
-    if n_labeled == 0 or n_unlabeled == 0:
-        return type4_affinity(n_labeled + n_unlabeled)
-    m0, m1 = 2 * n_labeled, 2 * n_unlabeled
-    a = -np.ones((m0 + m1, m0 + m1))
-    a[:m0, :m0] = type4_affinity(n_labeled).a
-    block = type4_affinity(n_unlabeled).a
-    if relaxed_unlabeled:
-        block = np.where(block < 0, 0.0, block)
-    a[m0:, m0:] = block
+    a = _type4(n_labeled + n_unlabeled)
+    if relaxed_unlabeled and n_labeled:
+        block = a[2 * n_labeled:, 2 * n_labeled:]
+        block[block < 0] = 0
     return AffinityMatrix(a)
 
 

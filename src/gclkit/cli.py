@@ -30,10 +30,11 @@ CKPT_SCHEMA = "gclkit-checkpoint v1"
 
 def split_dataset(dataset, n_holdout, seed):
     """Deterministic split into (train speakers, held-out speakers for trials)."""
-    rng = substream(seed, "split")
     speakers = np.unique(dataset.labels)
-    if not 0 <= n_holdout <= len(speakers):
-        raise ValueError(f"cannot hold out {n_holdout} speakers: dataset has {len(speakers)}")
+    if not 0 <= n_holdout < len(speakers):
+        raise ValueError(f"cannot hold out {n_holdout} speakers: dataset has {len(speakers)}, "
+                         "and at least one must stay for training")
+    rng = substream(seed, "split")
     held = rng.choice(speakers, size=n_holdout, replace=False) if n_holdout else []
     mask = np.isin(dataset.labels, held)
     train_ds = synth.LabeledDataset(dataset.features[~mask], dataset.labels[~mask])

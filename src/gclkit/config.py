@@ -21,6 +21,12 @@ class SplitConfig:
     labeled_speakers: int = 16
     n_pairs: int = 400
 
+    def __post_init__(self):
+        # build_trials makes n_pairs // 2 target pairs; an EER needs one.
+        if self.n_pairs < 2:
+            raise ValueError(f"eval.n_pairs must be >= 2 (one target and one non-target "
+                             f"trial), got {self.n_pairs}")
+
 
 # Key order is the order of --print-defaults.
 KEYS = {

@@ -14,6 +14,12 @@ are not: once a row's largest exponent is below about -700, the stabilized
 guard ``eps * exp(-max)`` overflows, the ratio collapses to 0 and the
 gradient turns NaN (``train()`` stops on it).
 
+The built-in affinities are int8 and are read only through their zero and
+positive cells, so they give the same bits as their float64 copies; a
+type-4 or strict semi affinity hands the kernel its ``partner`` column,
+which selects a mask-free path with the same arithmetic (``_core_py``).
+Scorers of the complete form receive each entry as a Python float.
+
 ``oracle_episode`` and ``oracle_ntxent`` are deliberately naive direct
 implementations of the prototypical episode loss and the two-view NT-Xent
 ratio loss; the test suite holds the engine to them exactly. The complete-form
@@ -76,7 +82,8 @@ def _evaluate(batch, affinity, kernel_params, options, with_grad):
         raise FloatingPointError("non-finite exponent in similarity matrix")
     log_transform = options.ratio_transform == "negated-log-ratio"
     loss, r, de = ratio_terms(
-        em.e, affinity.a, active, options.epsilon, log_transform, 1.0 / n_active
+        em.e, affinity.a, active, options.epsilon, log_transform, 1.0 / n_active,
+        affinity.partner,
     )
     report = LossReport(loss=float(loss), per_anchor=r, active=active)
     if with_grad:
@@ -146,7 +153,7 @@ def complete_form(batch, affinity, spec):
         acc = 0.0
         for j in range(batch.size):
             if a[i, j] != 0.0:
-                acc += spec.scorer(z[i], z[j], a[i, j])
+                acc += spec.scorer(z[i], z[j], float(a[i, j]))
         if spec.psi == "ramp-margin":
             acc = max(0.0, acc + spec.margin)
         elif spec.psi == "negative-log":

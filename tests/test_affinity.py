@@ -238,6 +238,57 @@ class TestMemoizedChecks:
                 aff.validate(nonsquare, None)
 
 
+class TestPartner:
+    """The partner column: set from the entries for the NT-Xent pattern only."""
+
+    def test_type4_and_strict_semi(self):
+        for m in (aff.type4_affinity(1), aff.type4_affinity(6), aff.semi_affinity(3, 4),
+                  aff.semi_affinity(0, 2)):
+            a = m.a
+            rows = np.arange(m.size)
+            assert np.array_equal(a[rows, m.partner], np.ones(m.size))
+            assert np.array_equal(m.partner, rows ^ 1)  # the other view of the pair
+
+    def test_found_from_content_not_builder(self):
+        m = aff.AffinityMatrix(aff.type4_affinity(3).a.astype(float) * 0.5)
+        assert np.array_equal(m.partner, aff.type4_affinity(3).partner)
+
+    def test_none_for_other_layouts(self):
+        for m in (aff.type1_affinity(3), aff.type2_affinity(3), aff.type3_affinity(3),
+                  aff.semi_affinity(2, 3, relaxed_unlabeled=True),
+                  aff.AffinityMatrix(np.zeros((6, 6)))):
+            assert m.partner is None
+
+    @pytest.mark.parametrize("cell, value", [((0, 3), 0), ((2, 5), 1), ((4, 4), -1)],
+                             ids=["zero cell", "two positives", "nonzero diagonal"])
+    def test_none_after_one_edit(self, cell, value):
+        a = aff.type4_affinity(3).a.copy()
+        a[cell] = value
+        assert aff.AffinityMatrix(a).partner is None
+
+    def test_read_only_and_memoized(self):
+        m = aff.type4_affinity(3)
+        assert m.partner is m.partner
+        with pytest.raises(ValueError, match="read-only"):
+            m.partner[0] = 0
+
+
+class TestInt8Storage:
+    def test_builders_store_int8(self):
+        for m in (aff.type1_affinity(3), aff.type2_affinity(3), aff.type3_affinity(3),
+                  aff.type4_affinity(3), aff.semi_affinity(2, 3),
+                  aff.semi_affinity(2, 3, relaxed_unlabeled=True)):
+            assert m.a.dtype == np.int8
+
+    def test_given_dtype_kept(self):
+        assert aff.AffinityMatrix(np.zeros((4, 4))).a.dtype == np.float64
+
+    def test_strict_semi_is_type4_over_all_samples(self):
+        for n, n_prime in ((1, 1), (2, 3), (13, 4), (7, 20), (346, 38)):
+            assert_same_bytes(aff.semi_affinity(n, n_prime).a,
+                              aff.type4_affinity(n + n_prime).a)
+
+
 def ref_type1(n):
     a = np.zeros((2 * n, 2 * n))
     for i in range(n):
@@ -305,7 +356,12 @@ def assert_same_bytes(got, want):
 
 
 class TestReferenceLayouts:
-    """The vectorized builders against naive cell-by-cell constructions."""
+    """The vectorized builders against naive cell-by-cell constructions.
+
+    The references are built in float64; the builders store int8, so each
+    reference is cast (exactly, its entries are -1, 0 and +1) before the
+    byte comparison.
+    """
 
     @pytest.mark.parametrize("ctor,ref,n_min", [
         (aff.type1_affinity, ref_type1, 2),
@@ -316,16 +372,16 @@ class TestReferenceLayouts:
     def test_types_match_reference(self, ctor, ref, n_min):
         for n in range(n_min, 41):
             m = ctor(n)
-            assert_same_bytes(m.a, ref(n))
+            assert_same_bytes(m.a, ref(n).astype(np.int8))
 
     @pytest.mark.parametrize("relaxed", [False, True])
     def test_semi_matches_reference(self, relaxed):
         for n, n_prime in ((1, 0), (0, 1), (5, 0), (0, 5), (1, 1), (2, 3), (4, 2),
                            (13, 4), (7, 20)):
             m = aff.semi_affinity(n, n_prime, relaxed_unlabeled=relaxed)
-            assert_same_bytes(m.a, ref_semi(n, n_prime, relaxed))
+            assert_same_bytes(m.a, ref_semi(n, n_prime, relaxed).astype(np.int8))
 
     def test_golden_type4_n2(self):
         want = np.array([[0, 1, -1, -1], [1, 0, -1, -1], [-1, -1, 0, 1], [-1, -1, 1, 0]],
-                        dtype=float)
+                        dtype=np.int8)
         assert_same_bytes(aff.type4_affinity(2).a, want)

@@ -6,7 +6,9 @@ name in ``src/`` breaks the benchmark without any edit to it. It imports
 in its provenance (``compare.py`` refuses runs whose value differs), builds
 its held-out sets with ``cli.split_dataset`` and ``cli.substream``, builds its
 engine batches by hand with explicit tags (so they must pass the batch tag
-rule), reads the anchor mask as ``affinity.validate(...).active``, and its
+rule), reads the anchor mask as ``affinity.validate(...).active``, calls
+``_core_py.ratio_terms`` with six positional arguments on the layouts as
+built (int8), and its
 tracer wraps every public function of the traced modules, asserts that traced
 and untraced losses are bit-equal, and reports spans by name: each name in
 ``run.LAYER_SPANS`` is a per-layer metric, so deleting the function behind it
@@ -17,13 +19,14 @@ import ast
 import importlib
 import inspect
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gclkit
-from gclkit import _core_py, affinity, cli, loss, synth
+from gclkit import _core_py, affinity, cli, kernels, loss, synth
 from gclkit import batch as batching
 from gclkit import evaluate as evaluation
 from gclkit import train as training
@@ -138,3 +141,35 @@ def test_engine_units_pass_the_batch_rules():
         # run.compare_backends reads the anchor mask through validate()
         active = affinity.validate(workloads.build_affinity(unit), unit.batch).active
         assert active.dtype == bool and active.shape == (unit.batch.size,)
+
+
+def test_ratio_kernel_call_of_compare_backends_is_dtype_blind():
+    # run.compare_backends calls the kernel with six positional arguments on
+    # the int8 layouts, and the tracer's validate hook counts their nonzeros:
+    # both must read the same as on float64 copies.
+    seen = set()
+    for unit in workloads._engine_grid(np.random.default_rng(1), {13: 1}):
+        if (unit.layout, unit.kernel.kind) in seen:
+            continue
+        seen.add((unit.layout, unit.kernel.kind))
+        a = workloads.build_affinity(unit)
+        as_float = affinity.AffinityMatrix(a.a.astype(float))
+        assert a.a.dtype == np.int8
+        active = affinity.validate(a, unit.batch).active.astype(np.uint8)
+        e = np.ascontiguousarray(kernels.exponent_matrix(unit.batch, unit.kernel).e)
+        inv = 1.0 / max(1, int(active.sum()))
+        for log_transform in (False, True):
+            got = _core_py.ratio_terms(e, np.ascontiguousarray(a.a), active, 1e-12,
+                                       log_transform, inv)
+            want = _core_py.ratio_terms(e, np.ascontiguousarray(as_float.a), active, 1e-12,
+                                        log_transform, inv)
+            assert got[0] == want[0], unit.key
+            for g, w in zip(got[1:], want[1:]):
+                assert np.array_equal(g, w, equal_nan=True), unit.key
+                assert np.array_equal(np.signbit(g), np.signbit(w)), unit.key
+        counts = [defaultdict(float), defaultdict(float)]
+        for c, m in zip(counts, (a, as_float)):
+            spans._count_validate(c, (m, unit.batch), {}, m)
+        assert counts[0] == counts[1]
+        assert counts[0]["affinity.nnz"] == np.count_nonzero(as_float.a)
+    assert {layout for layout, _ in seen} == set(workloads.LAYOUTS)

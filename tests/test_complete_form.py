@@ -71,6 +71,23 @@ class TestGeneralAffinities:
             rep, m, losses.CompleteFormSpec(scorer=scorer, orientation="reward")).loss
         assert reward == -cost
 
+    @pytest.mark.parametrize("ctor", [aff.type1_affinity, aff.type2_affinity,
+                                      aff.type3_affinity, aff.type4_affinity])
+    def test_int8_layout_matches_float_copy(self, rng, ctor):
+        # The scorer sees each entry as a float: 300 * alpha would overflow an
+        # int8 entry, and must give the same loss as on the float64 copy.
+        rep = random_prototype_batch(rng, n=3, kp=2, d=3)
+        m = ctor(3)
+        assert m.a.dtype == np.int8
+        for scorer in (lambda z, zp, alpha: alpha * 300,
+                       lambda z, zp, alpha: alpha * float(z @ zp)):
+            spec = losses.CompleteFormSpec(scorer=scorer)
+            got = losses.complete_form(rep, m, spec)
+            want = losses.complete_form(rep, aff.AffinityMatrix(m.a.astype(float)), spec)
+            assert got.loss == want.loss
+            assert np.array_equal(got.per_anchor, want.per_anchor)
+            assert np.array_equal(got.active, want.active)
+
     def test_negative_log_psi(self):
         z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         rep = batching.RepresentationBatch(

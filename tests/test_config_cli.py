@@ -222,6 +222,8 @@ class TestCommands:
         ("train.steps = 1.5", "line 2: train.steps: expected int, got '1.5'"),
         ("kernel.tau = fast", "line 2: kernel.tau: expected float, got 'fast'"),
         ("data.holdout_speakers = 100", "cannot hold out 100 speakers: dataset has 64"),
+        ("data.holdout_speakers = 64", "cannot hold out 64 speakers: dataset has 64"),
+        ("eval.n_pairs = 1", "eval.n_pairs must be >= 2"),
     ])
     def test_synth_error_names_the_setting(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, "# defaults but one\n" + line + "\n")

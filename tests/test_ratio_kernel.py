@@ -4,7 +4,9 @@
 every row, -inf outside the support fed to ``exp``, one temporary per
 operation. ``_core_py.ratio_terms`` must reproduce it bit for bit (values,
 NaNs and signs of zero) on every layout, kernel, transform and embedding
-scale, including scales where the stabilizer overflows.
+scale, including scales where the stabilizer overflows, with the affinity
+as int8 (the built-in layouts) or float64, and with and without the
+``partner`` column of the NT-Xent path.
 """
 
 import warnings
@@ -67,12 +69,12 @@ def _bit_equal(x, y):
             and np.array_equal(np.signbit(x), np.signbit(y)))
 
 
-def _assert_same(e, a, active, log_transform, eps=1e-12):
+def _assert_same(e, a, active, log_transform, eps=1e-12, partner=None):
     inv_norm = 1.0 / max(1, int(np.count_nonzero(active)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         want = reference_ratio_terms(e, a, active, eps, log_transform, inv_norm)
-        got = _core_py.ratio_terms(e, a, active, eps, log_transform, inv_norm)
+        got = _core_py.ratio_terms(e, a, active, eps, log_transform, inv_norm, partner)
     for w, g in zip(want, got):
         assert _bit_equal(w, g)
     return got
@@ -95,6 +97,11 @@ def _layouts(n):
     return out
 
 
+def _exponents(rng, kind, scale, m, d=8):
+    proj = rng.normal(size=(d, d)) if kind == "cosine-temp" else None
+    return ExponentMatrix(rng.normal(0.0, scale, size=(m, d)), KernelParams(kind, proj=proj)).e
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 13])
 @pytest.mark.parametrize("kind", ["affine-cosine", "sq-euclid"])
 @pytest.mark.parametrize("scale", [0.3, 3.0, 30.0])
@@ -102,9 +109,54 @@ def _layouts(n):
 def test_matches_reference_over_grid(n, kind, scale, log_transform):
     rng = np.random.default_rng([n, int(scale * 10), len(kind)])
     for layout in _layouts(n).values():
-        m = layout.size
-        e = ExponentMatrix(rng.normal(0.0, scale, size=(m, 8)), KernelParams(kind)).e
-        _assert_same(e, layout.a, _active(layout.a), log_transform)
+        e = _exponents(rng, kind, scale, layout.size)
+        for a in (layout.a, layout.a.astype(float)):
+            _assert_same(e, a, _active(layout.a), log_transform)
+
+
+def _ntxent_layouts():
+    """Every layout with a partner column: type 4, strict semi, and a float
+    matrix of the same pattern whose partners are not adjacent."""
+    out = {f"type4/N{n}": aff.type4_affinity(n) for n in (1, 2, 5, 13)}
+    for n, n_unl in ((1, 1), (2, 3), (4, 2), (13, 4), (7, 20)):
+        out[f"semi/N{n}+{n_unl}"] = aff.semi_affinity(n, n_unl)
+    rng = np.random.default_rng(11)
+    m = 10
+    perm = rng.permutation(m)
+    partner = np.empty(m, dtype=int)
+    partner[perm[0::2]], partner[perm[1::2]] = perm[1::2], perm[0::2]
+    a = -rng.uniform(0.5, 2.0, size=(m, m))
+    a[np.arange(m), partner] = rng.uniform(0.5, 2.0, size=m)
+    np.fill_diagonal(a, 0.0)
+    out["float/shuffled"] = aff.AffinityMatrix(a)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["affine-cosine", "sq-euclid", "cosine-temp"])
+@pytest.mark.parametrize("scale", [0.3, 3.0, 40.0])
+@pytest.mark.parametrize("log_transform", [False, True])
+def test_partner_path_matches_reference(kind, scale, log_transform):
+    rng = np.random.default_rng([int(scale * 10), len(kind)])
+    for name, layout in _ntxent_layouts().items():
+        partner = layout.partner
+        assert partner is not None, name
+        e = _exponents(rng, kind, scale, layout.size)
+        for a in (layout.a, layout.a.astype(float)):
+            _assert_same(e, a, layout.active, log_transform, partner=partner)
+
+
+@pytest.mark.parametrize("log_transform", [False, True])
+def test_partner_path_row_max_below_exp_range(log_transform):
+    # sq-euclid at scale 40: every off-diagonal exponent is far below -709,
+    # so eps * exp(-max) overflows; the diagonal's 0 must not count as the max.
+    rng = np.random.default_rng(12)
+    for layout in (aff.type4_affinity(4), aff.semi_affinity(3, 2)):
+        e = _exponents(rng, "sq-euclid", 40.0, layout.size)
+        off_diag = e[~np.eye(layout.size, dtype=bool)].reshape(layout.size, -1)
+        assert off_diag.max(axis=1).max() < -709
+        _, r, de = _assert_same(e, layout.a, layout.active, log_transform,
+                                partner=layout.partner)
+        assert not r.any() and not np.all(np.isfinite(de))
 
 
 @pytest.mark.parametrize("log_transform", [False, True])
