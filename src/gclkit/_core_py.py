@@ -20,12 +20,19 @@ only +0.0 to it, which leaves every value, NaN and inf unchanged. Off the
 partner cell the direct gradient's first term is ``0 * den``, which the path
 keeps (it is NaN where ``den`` is inf, and it fixes the sign of a zero), and
 the partner cells are then overwritten with the direct formula in O(M).
+
+With a plan (``AffinityMatrix._loss_plan()``) the kernel reads the active
+rows and the masks from it and works in its buffers. That moves where the
+values are stored, not how they are computed: ``np.take`` plus a masked
+``copyto`` select the cells ``np.where`` selected, and every ufunc writes
+with ``out=`` the values it would return in a fresh array, in the same
+order. The gradient's inactive rows are the plan's zeros, never written.
 """
 
 import numpy as np
 
 
-def ratio_terms(e, a, active, eps, log_transform, inv_norm, partner=None):
+def ratio_terms(e, a, active, eps, log_transform, inv_norm, partner=None, plan=None):
     """Per-anchor contrastive ratios, the scalar loss, and d(loss)/d(e).
 
     For each active anchor row ``i``:
@@ -47,6 +54,12 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, partner=None):
         every off-diagonal cell of ``a`` is nonzero and the diagonal is zero.
         The results are the same with or without it; it is used only when
         every row is active.
+    plan : optional loss plan of the affinity matrix ``a`` and ``active``
+        belong to (``AffinityMatrix._loss_plan()``), passed with that
+        matrix's ``partner``. The kernel then takes the active rows and masks
+        from it and works in its buffers; the returned ``de`` is the plan's
+        buffer, valid until the plan's next evaluation. Without a plan every
+        array is allocated anew.
 
     Returns
     -------
@@ -55,7 +68,7 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, partner=None):
     """
     m = e.shape[0]
     r = np.zeros(m)
-    rows = np.flatnonzero(active)
+    rows = np.flatnonzero(active) if plan is None else plan.rows
     if rows.size == 0:
         return 0.0, r, np.zeros((m, m))
     dense = partner is not None and rows.size == m
@@ -63,7 +76,11 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, partner=None):
     # Row-wise max over the nonzero support, then w = exp(e - max) on the
     # support and 0 off it.
     if dense:
-        w = e.copy()
+        if plan is None:
+            w = e.copy()
+        else:
+            w = plan.de
+            np.copyto(w, e)
         diag = w.reshape(-1)[:: m + 1]  # the off-support cells
         diag[:] = -np.inf
         mx = w.max(axis=1)
@@ -73,17 +90,27 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, partner=None):
         diag[:] = 0.0
         num = w[rows, partner]
     else:
-        if rows.size < m:
-            e = e[rows]
-            a = a[rows]
-        off = a == 0
-        w = np.where(off, -np.inf, e)
+        if plan is None:
+            if rows.size < m:
+                e = e[rows]
+                a = a[rows]
+            off = a == 0
+            w = np.where(off, -np.inf, e)
+        else:
+            off, w = plan.off, plan.w
+            np.take(e, rows, axis=0, out=w, mode="clip")
+            np.copyto(w, -np.inf, where=off)
         mx = w.max(axis=1)
         w -= mx[:, None]
         np.copyto(w, 0.0, where=off)
         np.exp(w, out=w)
         np.copyto(w, 0.0, where=off)
-        p = np.where(a > 0, w, 0.0)
+        if plan is None:
+            p = np.where(a > 0, w, 0.0)
+        else:
+            p = plan.p
+            p.fill(0.0)
+            np.copyto(p, w, where=plan.pos)
         num = p.sum(axis=1)
     den = w.sum(axis=1) + eps * np.exp(-mx)
 
@@ -116,6 +143,10 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, partner=None):
     np.subtract(p, w, out=p)
     np.divide(p, (den * den)[:, None], out=p)
     np.multiply(dl_dr[:, None], p, out=p)
+    if plan is not None:
+        if plan.scatter:
+            plan.de[rows] = p
+        return loss, r, plan.de
     if rows.size == m:
         return loss, r, p
     de = np.zeros((m, m))

@@ -32,10 +32,20 @@ class AffinityMatrix:
     ``validate`` checks M against the batch size; the group sizes (N, N')
     belong to the batch.
 
-    ``a`` is kept as a read-only view, because the entry check and the anchor
-    mask are computed once per matrix: a write through ``a`` raises instead
-    of leaving them stale. The caller must not write to the array it passed
-    in either; the builders below hand over arrays nobody else holds.
+    ``a`` is kept as a read-only view, because the entry check, the anchor
+    mask and the loss plan are computed once per matrix: a write through
+    ``a`` raises instead of leaving them stale. The caller must not write to
+    the array it passed in either; the builders below hand over arrays nobody
+    else holds.
+
+    From its second evaluation on, the loss keeps its work buffers in the
+    matrix (``_loss_plan``), which holds them while it is alive: three
+    float64 (M, M) arrays, 8 * M^2 bytes each, 14 MB at M = 768, plus, for a
+    layout without a ``partner``, one or two arrays with a row per active
+    row. ``train()`` builds one matrix per run, so its steps reuse them
+    instead of allocating and page-faulting fresh ones. Because every
+    evaluation writes those buffers, one matrix must not be evaluated from
+    two threads at once.
     """
 
     a: np.ndarray  # (M, M)
@@ -74,16 +84,72 @@ class AffinityMatrix:
         a = self.a
         m = a.shape[0]
         # count_nonzero, not .all()/.any(): this runs on every fresh matrix,
-        # where the reductions' call overhead is most of the cost.
-        if m == 0 or a.shape != (m, m) or np.count_nonzero(self.active) != m:
+        # where the reductions' call overhead is most of the cost. The counts
+        # come before the positive mask, which other layouts never need.
+        if (m == 0 or a.shape != (m, m) or np.count_nonzero(a) != m * (m - 1)
+                or np.count_nonzero(a.diagonal()) or np.count_nonzero(self.active) != m):
             return None
         pos = a > 0
-        if (np.count_nonzero(a) != m * (m - 1) or np.count_nonzero(a.diagonal())
-                or np.count_nonzero(pos) != m):
+        if np.count_nonzero(pos) != m:
             return None
         partner = pos.argmax(axis=1)
         partner.flags.writeable = False
         return partner
+
+    def _loss_plan(self):
+        """The loss's reusable state for this matrix (``_LossPlan``), or None.
+
+        None on the first evaluation, which allocates as an evaluation without
+        a plan does: a matrix evaluated once, such as an engine call's fresh
+        matrix, pays nothing for a plan it would not reuse. The second
+        evaluation builds the plan, and every later one reuses it.
+        """
+        d = self.__dict__
+        if "_plan" not in d:
+            d["_plan"] = None
+        elif d["_plan"] is None:
+            d["_plan"] = _LossPlan(self)
+        return d["_plan"]
+
+
+class _LossPlan:
+    """What every loss evaluation on one matrix would otherwise rebuild.
+
+    ``rows`` are the active rows. Unless the matrix has a ``partner`` column
+    (whose kernel path needs no masks), ``off`` and ``pos`` are its zero and
+    positive cells on those rows. The (M, M) buffers are written with
+    ``out=`` by the exponent matrix and its backward pass (``e``, ``gram``;
+    see ``ExponentMatrix``) and by the ratio kernel (``de``; see
+    ``_core_py``). There are three, not one per array: a buffer is reused
+    once its last reader is done, which keeps a step's working set small.
+
+    The masked path works in ``w`` and ``p``, one row per active row. With
+    every row active ``p`` is ``de``; otherwise (``scatter``) ``de`` is
+    zeroed here and the kernel copies ``p`` into its active rows, so its
+    inactive rows stay zero. (A strided view of those rows would save the
+    copy, but passes over a strided view cost more than the copy saves.)
+
+    The plan holds no reference to its matrix, so the two are freed together
+    without the cycle collector.
+    """
+
+    def __init__(self, matrix):
+        a = matrix.a
+        m = a.shape[0]
+        rows = np.flatnonzero(matrix.active)
+        self.rows = rows
+        self.e, self.gram, self.de = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
+        self.off = self.pos = self.w = self.p = None
+        self.scatter = False
+        if matrix.partner is None and rows.size:
+            sub = a if rows.size == m else a[rows]
+            self.off = sub == 0
+            self.pos = sub > 0
+            self.w = np.empty(sub.shape)
+            self.scatter = rows.size < m
+            if self.scatter:
+                self.de.fill(0.0)
+            self.p = np.empty(sub.shape) if self.scatter else self.de
 
 
 def _class_diagonal(a, row, col, count):

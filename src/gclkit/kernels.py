@@ -71,22 +71,40 @@ def scalar_exponent(z, zp, params):
     return affine_cosine_exponent(z, zp, params)
 
 
+class _Fresh:
+    """Buffer slots with nothing in them: every array is allocated anew."""
+
+    e = gram = None
+
+
 class ExponentMatrix:
     """All-pairs exponents for a batch, with a backward pass.
 
     ``backward(grad_e)`` maps a gradient on the exponent matrix to gradients
     on the batch embeddings and on the trainable kernel parameters.
+
+    ``plan`` (an affinity matrix's loss plan) lends two (M, M) buffers: one
+    for the exponent ``e``, one for the Gram product (the cosine ``_c``, or
+    ``2z @ z.T``). The backward pass reuses them once their contents are
+    read for the last time: ``grad_c`` goes to the Gram buffer and
+    ``grad_c + grad_c.T`` (for sq-euclid ``grad_e + grad_e.T``) to ``e``'s.
+    Each array is written with ``out=`` by the operation that would
+    otherwise allocate it, so the values are the same bits. Such a matrix
+    is valid until the plan's next evaluation, and its ``backward`` runs
+    once, after the loss has read ``e``.
     """
 
-    def __init__(self, z, params):
+    def __init__(self, z, params, plan=None):
         self.z = np.asarray(z, dtype=float)
         self.params = params
+        self._out = out = _Fresh if plan is None else plan
         kind = params.kind
         if kind == "sq-euclid":
             # -(|z|^2 + |z'|^2 - 2 z.z'), each (M, M) step in one buffer.
+            # The product is (2z) @ z.T: 2 * (z @ z.T) would round differently.
             sq = np.sum(self.z**2, axis=1)
-            self.e = sq[:, None] + sq[None, :]
-            self.e -= 2.0 * self.z @ self.z.T
+            self.e = np.add(sq[:, None], sq[None, :], out=out.e)
+            self.e -= np.matmul(2.0 * self.z, self.z.T, out=out.gram)
             np.negative(self.e, out=self.e)
             np.fill_diagonal(self.e, 0.0)
         else:
@@ -95,32 +113,33 @@ class ExponentMatrix:
             self._norms = norms
             safe = np.where(norms == 0.0, 1.0, norms)
             self._v = self._u / safe[:, None]
-            self._c = self._v @ self._v.T
+            self._c = np.matmul(self._v, self._v.T, out=out.gram)
             if kind == "cosine-temp":
-                self.e = self._c / params.tau
+                self.e = np.divide(self._c, params.tau, out=out.e)
             else:
-                self.e = params.gamma * self._c
+                self.e = np.multiply(params.gamma, self._c, out=out.e)
                 self.e += params.beta
 
     def backward(self, grad_e):
         """Returns (grad_z, grad_kernel dict with gamma/beta/proj where trainable)."""
         kind = self.params.kind
+        out = self._out
         grad_kernel = {}
         if kind == "sq-euclid":
-            s = grad_e + grad_e.T
+            s = np.add(grad_e, grad_e.T, out=out.e)
             grad_z = -2.0 * (s.sum(axis=1)[:, None] * self.z - s @ self.z)
             return grad_z, grad_kernel
 
         if kind == "cosine-temp":
-            grad_c = grad_e / self.params.tau
+            grad_c = np.divide(grad_e, self.params.tau, out=out.gram)
         else:
-            grad_c = grad_e * self._c
+            grad_c = np.multiply(grad_e, self._c, out=out.gram)
             grad_kernel["gamma"] = float(np.sum(grad_c))
             grad_kernel["beta"] = float(np.sum(grad_e))
             np.multiply(self.params.gamma, grad_e, out=grad_c)
 
         # c = v v^T with v = u / ||u||; radial components cancel on the diagonal.
-        grad_v = (grad_c + grad_c.T) @ self._v
+        grad_v = np.add(grad_c, grad_c.T, out=out.e) @ self._v
         radial = np.sum(grad_v * self._v, axis=1, keepdims=True)
         safe = np.where(self._norms == 0.0, 1.0, self._norms)
         grad_u = (grad_v - radial * self._v) / safe[:, None]
@@ -134,6 +153,9 @@ class ExponentMatrix:
         return grad_z, grad_kernel
 
 
-def exponent_matrix(batch, params):
-    """ExponentMatrix over all ordered entry pairs of a representation batch."""
-    return ExponentMatrix(batch.z, params)
+def exponent_matrix(batch, params, plan=None):
+    """ExponentMatrix over all ordered entry pairs of a representation batch.
+
+    ``plan`` lends the (M, M) buffers (see ``ExponentMatrix``).
+    """
+    return ExponentMatrix(batch.z, params, plan)

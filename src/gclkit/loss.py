@@ -20,6 +20,18 @@ type-4 or strict semi affinity hands the kernel its ``partner`` column,
 which selects a mask-free path with the same arithmetic (``_core_py``).
 Scorers of the complete form receive each entry as a Python float.
 
+Each evaluation fetches the matrix's plan once
+(``AffinityMatrix._loss_plan``; none on a matrix's first evaluation): its
+active rows, masks and (M, M) buffers, so a run that reuses one matrix
+allocates none of them after its second step. The plan is exact because it
+changes only where arrays live: the exponent matrix, the ratio kernel and
+the backward pass run the same NumPy operations in the same order, writing
+into the buffers with ``out=``. The products stay as written, ``(2z) @ z.T``
+and ``v @ v.T``: NumPy hands a product of an array with its own transpose to
+a different BLAS routine, so ``2 * (z @ z.T)`` would round differently. No
+array of a report is a plan buffer: ``per_anchor``, ``grad_z`` and the
+kernel gradients are fresh on every call.
+
 ``oracle_episode`` and ``oracle_ntxent`` are deliberately naive direct
 implementations of the prototypical episode loss and the two-view NT-Xent
 ratio loss; the test suite holds the engine to them exactly. The complete-form
@@ -77,13 +89,14 @@ def _evaluate(batch, affinity, kernel_params, options, with_grad):
             report.grad_kernel = {}
         return report
 
-    em = kernels.exponent_matrix(batch, kernel_params)
+    plan = affinity._loss_plan()
+    em = kernels.exponent_matrix(batch, kernel_params, plan)
     if not np.all(np.isfinite(em.e)):
         raise FloatingPointError("non-finite exponent in similarity matrix")
     log_transform = options.ratio_transform == "negated-log-ratio"
     loss, r, de = ratio_terms(
         em.e, affinity.a, active, options.epsilon, log_transform, 1.0 / n_active,
-        affinity.partner,
+        affinity.partner, plan,
     )
     report = LossReport(loss=float(loss), per_anchor=r, active=active)
     if with_grad:

@@ -115,7 +115,8 @@ def test_traced_training_matches_and_uninstalls(mode):
 
     assert got == want
     recorded = tracer.by_span()
-    for name in ("loss.ratio_terms", "evaluate.eer", "train.loop"):
+    for name in ("loss.ratio_terms", "kernels.exponent_matrix",
+                 "kernels.ExponentMatrix.backward", "evaluate.eer", "train.loop"):
         assert recorded[name][1] > 0, name
     if mode != "supervised":
         assert recorded["synth.draw_transform"][1] > 0

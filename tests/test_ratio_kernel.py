@@ -7,6 +7,13 @@ NaNs and signs of zero) on every layout, kernel, transform and embedding
 scale, including scales where the stabilizer overflows, with the affinity
 as int8 (the built-in layouts) or float64, and with and without the
 ``partner`` column of the NT-Xent path.
+
+The loss plan (``AffinityMatrix._loss_plan``), which a matrix builds on its
+second evaluation, lends the whole evaluation its (M, M) buffers and masks.
+``reference_gcl_grad`` is the evaluation written directly, with every array
+allocated anew; ``gcl_grad`` on a fresh matrix and on one matrix reused
+across batches and kernels must give its bits, and no report may share
+memory with another report or with the plan.
 """
 
 import warnings
@@ -16,6 +23,8 @@ import pytest
 
 from gclkit import _core_py
 from gclkit import affinity as aff
+from gclkit import batch as batching
+from gclkit import loss as losses
 from gclkit.kernels import ExponentMatrix, KernelParams
 
 
@@ -204,3 +213,142 @@ def test_inactive_rows_are_zero_and_inputs_untouched():
     assert np.array_equal(e, e_before)
     assert not r[1::2].any() and not de[1::2].any()
     assert np.all(r[0::2] > 0.0)
+
+
+def reference_gcl_grad(batch, matrix, params, options):
+    """``gcl_grad`` written directly, one fresh array per operation:
+    (loss, per_anchor, grad_z, grad_kernel). The exponent matrix is formed
+    as ``(2z) @ z.T`` and ``v @ v.T``, the products the kernel must keep."""
+    z, kind = batch.z, params.kind
+    if kind == "sq-euclid":
+        sq = np.sum(z**2, axis=1)
+        e = -((sq[:, None] + sq[None, :]) - 2.0 * z @ z.T)
+        np.fill_diagonal(e, 0.0)
+    else:
+        u = z @ params.proj if kind == "cosine-temp" else z
+        norms = np.linalg.norm(u, axis=1)
+        safe = np.where(norms == 0.0, 1.0, norms)
+        v = u / safe[:, None]
+        c = v @ v.T
+        e = c / params.tau if kind == "cosine-temp" else params.gamma * c + params.beta
+    active = matrix.active
+    loss, r, de = reference_ratio_terms(e, matrix.a, active, options.epsilon,
+                                        options.ratio_transform == "negated-log-ratio",
+                                        1.0 / int(active.sum()))
+    grad_kernel = {}
+    if kind == "sq-euclid":
+        s = de + de.T
+        return loss, r, -2.0 * (s.sum(axis=1)[:, None] * z - s @ z), grad_kernel
+    if kind == "cosine-temp":
+        grad_c = de / params.tau
+    else:
+        grad_kernel["gamma"] = float(np.sum(de * c))
+        grad_kernel["beta"] = float(np.sum(de))
+        grad_c = params.gamma * de
+    grad_v = (grad_c + grad_c.T) @ v
+    radial = np.sum(grad_v * v, axis=1, keepdims=True)
+    grad_u = (grad_v - radial * v) / safe[:, None]
+    grad_u[norms == 0.0] = 0.0
+    if kind == "cosine-temp":
+        grad_kernel["proj"] = z.T @ grad_u
+        return loss, r, grad_u @ params.proj.T, grad_kernel
+    return loss, r, grad_u, grad_kernel
+
+
+def _plan_layouts(n, rng):
+    """(name, matrix, (N, N')) for every layout the plan distinguishes: dense
+    (type 4, strict semi), masked with every row active (type 2, relaxed
+    semi), masked with inactive rows (types 1 and 3) and a float matrix whose
+    inactive rows are irregular."""
+    n_unl = max(1, n // 4)
+    m = 2 * n
+    a = rng.choice([-1.0, 0.0, 1.0], size=(m, m), p=[0.4, 0.3, 0.3])
+    inactive = rng.choice(m, size=m // 3, replace=False)
+    a[inactive] = np.minimum(a[inactive], 0.0)
+    return [
+        ("type1", aff.type1_affinity(n), (n, 0)),
+        ("type2", aff.type2_affinity(n), (n, 0)),
+        ("type3", aff.type3_affinity(n), (n, 0)),
+        ("type4", aff.type4_affinity(n), (n, 0)),
+        ("semi", aff.semi_affinity(n - n_unl, n_unl), (n - n_unl, n_unl)),
+        ("semi-relaxed", aff.semi_affinity(n - n_unl, n_unl, relaxed_unlabeled=True),
+         (n - n_unl, n_unl)),
+        ("float-irregular", aff.AffinityMatrix(a), (n, 0)),
+    ]
+
+
+def _kernels(rng, d):
+    # Run in this order on one matrix, so its plan also sees the kind change.
+    return [KernelParams("sq-euclid"),
+            KernelParams("cosine-temp", tau=0.3, proj=rng.normal(size=(d, d))),
+            KernelParams("affine-cosine", gamma=7.0, beta=-3.0)]
+
+
+def _batch(rng, n_labeled, n_unlabeled, d):
+    z = rng.normal(0.0, 0.5, size=(2 * (n_labeled + n_unlabeled), d))
+    return batching.RepresentationBatch(z, *batching.canonical_tags(n_labeled, n_unlabeled),
+                                        n_labeled, n_unlabeled)
+
+
+def _assert_report(report, want, key):
+    loss, r, grad_z, grad_kernel = want
+    assert _bit_equal(report.loss, loss), key
+    assert _bit_equal(report.per_anchor, r), key
+    assert _bit_equal(report.grad_z, grad_z), key
+    assert report.grad_kernel.keys() == grad_kernel.keys(), key
+    for name, g in grad_kernel.items():
+        assert _bit_equal(report.grad_kernel[name], g), (key, name)
+
+
+# M = 18, 66 and 132: at each, 2 * (z @ z.T) rounds differently from (2z) @ z.T.
+@pytest.mark.parametrize("n", [9, 33, 66])
+@pytest.mark.parametrize("transform", losses.TRANSFORMS)
+def test_plan_matches_reference_fresh_and_reused(n, transform):
+    rng = np.random.default_rng([n, len(transform)])
+    options = losses.GclOptions(ratio_transform=transform)
+    d = 8
+    kernels = _kernels(rng, d)
+    for name, matrix, (n_labeled, n_unlabeled) in _plan_layouts(n, rng):
+        assert np.all(matrix.active) == (name in ("type2", "type4", "semi", "semi-relaxed"))
+        for params in kernels:
+            for step in range(3):
+                batch = _batch(rng, n_labeled, n_unlabeled, d)
+                key = (name, params.kind, step)
+                want = reference_gcl_grad(batch, matrix, params, options)
+                fresh = aff.AffinityMatrix(matrix.a)
+                _assert_report(losses.gcl_grad(batch, fresh, params, options), want, key)
+                _assert_report(losses.gcl_grad(batch, matrix, params, options), want, key)
+                value = losses.gcl(batch, matrix, params, options)
+                assert _bit_equal(value.loss, want[0]) and _bit_equal(value.per_anchor, want[1])
+
+
+def _report_arrays(report):
+    # ``active`` is left out: it is the matrix's read-only anchor mask, which
+    # every report of the matrix shares by design.
+    return [report.per_anchor, report.grad_z] + [
+        g for g in report.grad_kernel.values() if isinstance(g, np.ndarray)]
+
+
+@pytest.mark.parametrize("name", ["type3", "type4", "semi-relaxed", "float-irregular"])
+def test_reports_share_no_memory(name):
+    rng = np.random.default_rng(21)
+    d = 6
+    matrix, (n_labeled, n_unlabeled) = {
+        k: (m, shape) for k, m, shape in _plan_layouts(10, rng)}[name]
+    for params in _kernels(rng, d):
+        # A matrix's first evaluation builds no plan; the next two use it.
+        losses.gcl_grad(_batch(rng, n_labeled, n_unlabeled, d), matrix, params)
+        first = losses.gcl_grad(_batch(rng, n_labeled, n_unlabeled, d), matrix, params)
+        kept = [x.copy() for x in _report_arrays(first)]
+        second = losses.gcl_grad(_batch(rng, n_labeled, n_unlabeled, d), matrix, params)
+        plan = matrix._loss_plan()
+        assert plan is not None and plan is matrix._loss_plan()
+        buffers = [x for x in vars(plan).values() if isinstance(x, np.ndarray)]
+        for x in _report_arrays(first):
+            for y in _report_arrays(second) + buffers:
+                assert not np.shares_memory(x, y), (name, params.kind)
+        for x in _report_arrays(second):
+            for y in buffers:
+                assert not np.shares_memory(x, y), (name, params.kind)
+        for x, y in zip(_report_arrays(first), kept):
+            assert _bit_equal(x, y), (name, params.kind)
