@@ -17,12 +17,23 @@ The built-in layouts are stored as ``np.int8``: their entries are -1, 0 and
 int8 matrix gives the same loss as its float64 copy while its checks and
 comparisons touch an eighth of the bytes. ``AffinityMatrix`` keeps whatever
 dtype it is given, so real-valued user matrices work unchanged.
+
+A matrix's first loss evaluation builds its loss plan (``_core_py``), and
+every later one reuses it. The matrix holds the plan while it lives: the
+active rows, the ``partner`` column of the NT-Xent layout (a field of the
+plan) or the masks on the active rows, and three float64 (M, M) buffers,
+14 MB at M = 768. ``train()`` builds one matrix per run, so its steps reuse
+them instead of allocating and page-faulting fresh ones. Because every
+evaluation writes those buffers, one matrix must not be evaluated from two
+threads at once.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from ._core_py import _LossPlan
 
 
 @dataclass(frozen=True)
@@ -37,15 +48,6 @@ class AffinityMatrix:
     ``a`` raises instead of leaving them stale. The caller must not write to
     the array it passed in either; the builders below hand over arrays nobody
     else holds.
-
-    From its second evaluation on, the loss keeps its work buffers in the
-    matrix (``_loss_plan``), which holds them while it is alive: three
-    float64 (M, M) arrays, 8 * M^2 bytes each, 14 MB at M = 768, plus, for a
-    layout without a ``partner``, one or two arrays with a row per active
-    row. ``train()`` builds one matrix per run, so its steps reuse them
-    instead of allocating and page-faulting fresh ones. Because every
-    evaluation writes those buffers, one matrix must not be evaluated from
-    two threads at once.
     """
 
     a: np.ndarray  # (M, M)
@@ -72,84 +74,9 @@ class AffinityMatrix:
         return active
 
     @cached_property
-    def partner(self):
-        """Read-only (M,) column of each row's only positive, or None.
-
-        Set when the support of every row is every off-diagonal cell and
-        exactly one of them is positive: the NT-Xent layout of type 4 and
-        strict semi, or any matrix with that pattern of zero and positive
-        cells (the kernel reads no magnitudes). The ratio kernel then needs
-        no masks (see ``_core_py``). Found from the entries, once per matrix.
-        """
-        a = self.a
-        m = a.shape[0]
-        # count_nonzero, not .all()/.any(): this runs on every fresh matrix,
-        # where the reductions' call overhead is most of the cost. The counts
-        # come before the positive mask, which other layouts never need.
-        if (m == 0 or a.shape != (m, m) or np.count_nonzero(a) != m * (m - 1)
-                or np.count_nonzero(a.diagonal()) or np.count_nonzero(self.active) != m):
-            return None
-        pos = a > 0
-        if np.count_nonzero(pos) != m:
-            return None
-        partner = pos.argmax(axis=1)
-        partner.flags.writeable = False
-        return partner
-
-    def _loss_plan(self):
-        """The loss's reusable state for this matrix (``_LossPlan``), or None.
-
-        None on the first evaluation, which allocates as an evaluation without
-        a plan does: a matrix evaluated once, such as an engine call's fresh
-        matrix, pays nothing for a plan it would not reuse. The second
-        evaluation builds the plan, and every later one reuses it.
-        """
-        d = self.__dict__
-        if "_plan" not in d:
-            d["_plan"] = None
-        elif d["_plan"] is None:
-            d["_plan"] = _LossPlan(self)
-        return d["_plan"]
-
-
-class _LossPlan:
-    """What every loss evaluation on one matrix would otherwise rebuild.
-
-    ``rows`` are the active rows. Unless the matrix has a ``partner`` column
-    (whose kernel path needs no masks), ``off`` and ``pos`` are its zero and
-    positive cells on those rows. The (M, M) buffers are written with
-    ``out=`` by the exponent matrix and its backward pass (``e``, ``gram``;
-    see ``ExponentMatrix``) and by the ratio kernel (``de``; see
-    ``_core_py``). There are three, not one per array: a buffer is reused
-    once its last reader is done, which keeps a step's working set small.
-
-    The masked path works in ``w`` and ``p``, one row per active row. With
-    every row active ``p`` is ``de``; otherwise (``scatter``) ``de`` is
-    zeroed here and the kernel copies ``p`` into its active rows, so its
-    inactive rows stay zero. (A strided view of those rows would save the
-    copy, but passes over a strided view cost more than the copy saves.)
-
-    The plan holds no reference to its matrix, so the two are freed together
-    without the cycle collector.
-    """
-
-    def __init__(self, matrix):
-        a = matrix.a
-        m = a.shape[0]
-        rows = np.flatnonzero(matrix.active)
-        self.rows = rows
-        self.e, self.gram, self.de = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
-        self.off = self.pos = self.w = self.p = None
-        self.scatter = False
-        if matrix.partner is None and rows.size:
-            sub = a if rows.size == m else a[rows]
-            self.off = sub == 0
-            self.pos = sub > 0
-            self.w = np.empty(sub.shape)
-            self.scatter = rows.size < m
-            if self.scatter:
-                self.de.fill(0.0)
-            self.p = np.empty(sub.shape) if self.scatter else self.de
+    def _plan(self):
+        """The loss plan of this matrix (``_core_py._LossPlan``)."""
+        return _LossPlan(self.a, self.active)
 
 
 def _class_diagonal(a, row, col, count):

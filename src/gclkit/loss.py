@@ -15,22 +15,19 @@ guard ``eps * exp(-max)`` overflows, the ratio collapses to 0 and the
 gradient turns NaN (``train()`` stops on it).
 
 The built-in affinities are int8 and are read only through their zero and
-positive cells, so they give the same bits as their float64 copies; a
-type-4 or strict semi affinity hands the kernel its ``partner`` column,
-which selects a mask-free path with the same arithmetic (``_core_py``).
-Scorers of the complete form receive each entry as a Python float.
+positive cells, so they give the same bits as their float64 copies. Scorers
+of the complete form receive each entry as a Python float.
 
-Each evaluation fetches the matrix's plan once
-(``AffinityMatrix._loss_plan``; none on a matrix's first evaluation): its
-active rows, masks and (M, M) buffers, so a run that reuses one matrix
-allocates none of them after its second step. The plan is exact because it
-changes only where arrays live: the exponent matrix, the ratio kernel and
-the backward pass run the same NumPy operations in the same order, writing
-into the buffers with ``out=``. The products stay as written, ``(2z) @ z.T``
-and ``v @ v.T``: NumPy hands a product of an array with its own transpose to
-a different BLAS routine, so ``2 * (z @ z.T)`` would round differently. No
-array of a report is a plan buffer: ``per_anchor``, ``grad_z`` and the
-kernel gradients are fresh on every call.
+Every evaluation runs on the matrix's loss plan (``AffinityMatrix._plan``,
+see ``_core_py``), built on its first evaluation and held with its three
+float64 (M, M) buffers while the matrix lives, so one matrix must not be
+evaluated from two threads at once. Its active rows give A, and its
+``partner`` field, when set, selects the kernel's mask-free NT-Xent path.
+The exponent products stay as written, ``(2z) @ z.T`` and ``v @ v.T``:
+NumPy hands a product of an array with its own transpose to a different
+BLAS routine, so ``2 * (z @ z.T)`` would round differently. No array of a
+report is a plan buffer: ``per_anchor``, ``grad_z`` and the kernel
+gradients are fresh on every call.
 
 ``oracle_episode`` and ``oracle_ntxent`` are deliberately naive direct
 implementations of the prototypical episode loss and the two-view NT-Xent
@@ -80,25 +77,23 @@ class LossReport:
 
 def _evaluate(batch, affinity, kernel_params, options, with_grad):
     options = options or GclOptions()
-    active = validate(affinity, batch).active
-    n_active = int(active.sum())
+    plan = validate(affinity, batch)._plan
+    n_active = plan.rows.size
     if n_active == 0:
-        report = LossReport(loss=0.0, per_anchor=np.zeros(batch.size), active=active)
+        report = LossReport(loss=0.0, per_anchor=np.zeros(batch.size), active=affinity.active)
         if with_grad:
             report.grad_z = np.zeros_like(batch.z)
             report.grad_kernel = {}
         return report
 
-    plan = affinity._loss_plan()
     em = kernels.exponent_matrix(batch, kernel_params, plan)
     if not np.all(np.isfinite(em.e)):
         raise FloatingPointError("non-finite exponent in similarity matrix")
     log_transform = options.ratio_transform == "negated-log-ratio"
     loss, r, de = ratio_terms(
-        em.e, affinity.a, active, options.epsilon, log_transform, 1.0 / n_active,
-        affinity.partner, plan,
+        em.e, affinity.a, affinity.active, options.epsilon, log_transform, 1.0 / n_active, plan,
     )
-    report = LossReport(loss=float(loss), per_anchor=r, active=active)
+    report = LossReport(loss=float(loss), per_anchor=r, active=affinity.active)
     if with_grad:
         report.grad_z, report.grad_kernel = em.backward(de)
     return report

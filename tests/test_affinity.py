@@ -239,38 +239,38 @@ class TestMemoizedChecks:
 
 
 class TestPartner:
-    """The partner column: set from the entries for the NT-Xent pattern only."""
+    """The plan's partner column: set from the entries for the NT-Xent pattern only."""
 
     def test_type4_and_strict_semi(self):
         for m in (aff.type4_affinity(1), aff.type4_affinity(6), aff.semi_affinity(3, 4),
                   aff.semi_affinity(0, 2)):
             a = m.a
             rows = np.arange(m.size)
-            assert np.array_equal(a[rows, m.partner], np.ones(m.size))
-            assert np.array_equal(m.partner, rows ^ 1)  # the other view of the pair
+            assert np.array_equal(a[rows, m._plan.partner], np.ones(m.size))
+            assert np.array_equal(m._plan.partner, rows ^ 1)  # the other view of the pair
 
     def test_found_from_content_not_builder(self):
         m = aff.AffinityMatrix(aff.type4_affinity(3).a.astype(float) * 0.5)
-        assert np.array_equal(m.partner, aff.type4_affinity(3).partner)
+        assert np.array_equal(m._plan.partner, aff.type4_affinity(3)._plan.partner)
 
     def test_none_for_other_layouts(self):
         for m in (aff.type1_affinity(3), aff.type2_affinity(3), aff.type3_affinity(3),
                   aff.semi_affinity(2, 3, relaxed_unlabeled=True),
                   aff.AffinityMatrix(np.zeros((6, 6)))):
-            assert m.partner is None
+            assert m._plan.partner is None
 
     @pytest.mark.parametrize("cell, value", [((0, 3), 0), ((2, 5), 1), ((4, 4), -1)],
                              ids=["zero cell", "two positives", "nonzero diagonal"])
     def test_none_after_one_edit(self, cell, value):
         a = aff.type4_affinity(3).a.copy()
         a[cell] = value
-        assert aff.AffinityMatrix(a).partner is None
+        assert aff.AffinityMatrix(a)._plan.partner is None
 
     def test_read_only_and_memoized(self):
         m = aff.type4_affinity(3)
-        assert m.partner is m.partner
+        assert m._plan is m._plan and m._plan.partner is m._plan.partner
         with pytest.raises(ValueError, match="read-only"):
-            m.partner[0] = 0
+            m._plan.partner[0] = 0
 
 
 class TestInt8Storage:

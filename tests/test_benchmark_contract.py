@@ -35,6 +35,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 import spans  # noqa: E402
 import workloads  # noqa: E402
+from test_ratio_kernel import _bit_equal, reference_ratio_terms  # noqa: E402
 
 MODES = ("supervised", "semi", "unsupervised")
 
@@ -174,3 +175,35 @@ def test_ratio_kernel_call_of_compare_backends_is_dtype_blind():
         assert counts[0] == counts[1]
         assert counts[0]["affinity.nnz"] == np.count_nonzero(as_float.a)
     assert {layout for layout, _ in seen} == set(workloads.LAYOUTS)
+
+
+def test_compare_backends_call_runs_the_engine_kernel():
+    # run.compare_backends's exact call, which loss.ratio_terms.python_us
+    # times: affine-cosine units, one per (M, layout), contiguous copies, a
+    # uint8 anchor mask and six positional arguments, so the call builds a
+    # throwaway plan. It must give the bits of the direct formulation and of
+    # gcl_grad on a matrix reused through its own plan.
+    seen = set()
+    for unit in workloads._engine_grid(np.random.default_rng(2), {13: 1, 50: 1}):
+        key = (unit.batch.size, unit.layout)
+        if unit.kernel.kind != "affine-cosine" or key in seen:
+            continue
+        seen.add(key)
+        a = workloads.build_affinity(unit)
+        active = affinity.validate(a, unit.batch).active.astype(np.uint8)
+        e = np.ascontiguousarray(kernels.exponent_matrix(unit.batch, unit.kernel).e)
+        a_copy = np.ascontiguousarray(a.a)
+        inv = 1.0 / max(1, int(active.sum()))
+        for log_transform in (False, True):
+            transform = "negated-log-ratio" if log_transform else "negated-ratio"
+            options = loss.GclOptions(ratio_transform=transform)
+            got = _core_py.ratio_terms(e, a_copy, active, 1e-12, log_transform, inv)
+            want = reference_ratio_terms(e, a_copy, active, 1e-12, log_transform, inv)
+            for _ in range(2):  # the second evaluation reuses the plan
+                report = loss.gcl_grad(unit.batch, a, unit.kernel, options)
+            # The backward pass writes the plan's e and gram buffers, not de.
+            engine = (report.loss, report.per_anchor, a._plan.de)
+            for g, w, x in zip(got, want, engine):
+                assert _bit_equal(g, w) and _bit_equal(g, x), (unit.key, log_transform)
+    assert {layout for _, layout in seen} == set(workloads.LAYOUTS)
+    assert {m for m, _ in seen} == {26, 100}

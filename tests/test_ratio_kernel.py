@@ -5,17 +5,21 @@ every row, -inf outside the support fed to ``exp``, one temporary per
 operation. ``_core_py.ratio_terms`` must reproduce it bit for bit (values,
 NaNs and signs of zero) on every layout, kernel, transform and embedding
 scale, including scales where the stabilizer overflows, with the affinity
-as int8 (the built-in layouts) or float64, and with and without the
-``partner`` column of the NT-Xent path.
+as int8 (the built-in layouts) or float64, on both of its paths: the
+mask-free one of a plan with a ``partner`` column (the NT-Xent layout) and
+the masked one of every other layout.
 
-The loss plan (``AffinityMatrix._loss_plan``), which a matrix builds on its
-second evaluation, lends the whole evaluation its (M, M) buffers and masks.
-``reference_gcl_grad`` is the evaluation written directly, with every array
-allocated anew; ``gcl_grad`` on a fresh matrix and on one matrix reused
-across batches and kernels must give its bits, and no report may share
-memory with another report or with the plan.
+Every evaluation runs on a loss plan: a matrix builds its own
+(``AffinityMatrix._plan``) on its first evaluation and keeps it, with its
+three float64 (M, M) buffers, while it lives, and a call of the kernel
+without one builds a throwaway plan. ``reference_gcl_grad`` is the
+evaluation written directly, with every array allocated anew; ``gcl_grad``
+on a fresh matrix and on one matrix reused across batches and kernels must
+give its bits, no report may share memory with another report or with the
+plan, and an evaluation after a matrix's first allocates no (M, M) array.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -78,12 +82,12 @@ def _bit_equal(x, y):
             and np.array_equal(np.signbit(x), np.signbit(y)))
 
 
-def _assert_same(e, a, active, log_transform, eps=1e-12, partner=None):
+def _assert_same(e, a, active, log_transform, eps=1e-12, plan=None):
     inv_norm = 1.0 / max(1, int(np.count_nonzero(active)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         want = reference_ratio_terms(e, a, active, eps, log_transform, inv_norm)
-        got = _core_py.ratio_terms(e, a, active, eps, log_transform, inv_norm, partner)
+        got = _core_py.ratio_terms(e, a, active, eps, log_transform, inv_norm, plan)
     for w, g in zip(want, got):
         assert _bit_equal(w, g)
     return got
@@ -117,10 +121,16 @@ def _exponents(rng, kind, scale, m, d=8):
 @pytest.mark.parametrize("log_transform", [False, True])
 def test_matches_reference_over_grid(n, kind, scale, log_transform):
     rng = np.random.default_rng([n, int(scale * 10), len(kind)])
-    for layout in _layouts(n).values():
+    for name, layout in _layouts(n).items():
         e = _exponents(rng, kind, scale, layout.size)
         for a in (layout.a, layout.a.astype(float)):
-            _assert_same(e, a, _active(layout.a), log_transform)
+            active = _active(layout.a)
+            # Types 1-3 and relaxed semi keep the masked path covered. With
+            # one unlabeled sample, relaxed semi has no negative to relax and
+            # is the strict layout.
+            dense = name in ("type4", "semi") or (name == "semi-relaxed" and n // 3 < 2)
+            assert (_core_py._LossPlan(a, active).partner is None) != dense, name
+            _assert_same(e, a, active, log_transform)
 
 
 def _ntxent_layouts():
@@ -147,11 +157,11 @@ def _ntxent_layouts():
 def test_partner_path_matches_reference(kind, scale, log_transform):
     rng = np.random.default_rng([int(scale * 10), len(kind)])
     for name, layout in _ntxent_layouts().items():
-        partner = layout.partner
-        assert partner is not None, name
         e = _exponents(rng, kind, scale, layout.size)
         for a in (layout.a, layout.a.astype(float)):
-            _assert_same(e, a, layout.active, log_transform, partner=partner)
+            plan = _core_py._LossPlan(a, layout.active)
+            assert plan.partner is not None, name
+            _assert_same(e, a, layout.active, log_transform, plan=plan)
 
 
 @pytest.mark.parametrize("log_transform", [False, True])
@@ -163,8 +173,9 @@ def test_partner_path_row_max_below_exp_range(log_transform):
         e = _exponents(rng, "sq-euclid", 40.0, layout.size)
         off_diag = e[~np.eye(layout.size, dtype=bool)].reshape(layout.size, -1)
         assert off_diag.max(axis=1).max() < -709
-        _, r, de = _assert_same(e, layout.a, layout.active, log_transform,
-                                partner=layout.partner)
+        plan = _core_py._LossPlan(layout.a, layout.active)
+        assert plan.partner is not None
+        _, r, de = _assert_same(e, layout.a, layout.active, log_transform, plan=plan)
         assert not r.any() and not np.all(np.isfinite(de))
 
 
@@ -187,6 +198,12 @@ def test_rows_flagged_active_without_positive_support(log_transform):
     a[4, a[4] > 0] = -1.0  # negatives only
     active = np.ones(6, dtype=np.uint8)
     e = rng.normal(size=(6, 6))
+    _assert_same(e, a, active, log_transform)
+    # The NT-Xent pattern of zero cells and M positives, but row 1's positive
+    # moved to row 0: no partner column, though every row is flagged active.
+    a = aff.type4_affinity(3).a.copy()
+    a[1, 0], a[0, 2] = -1, 1
+    assert _core_py._LossPlan(a, active).partner is None
     _assert_same(e, a, active, log_transform)
 
 
@@ -336,13 +353,13 @@ def test_reports_share_no_memory(name):
     matrix, (n_labeled, n_unlabeled) = {
         k: (m, shape) for k, m, shape in _plan_layouts(10, rng)}[name]
     for params in _kernels(rng, d):
-        # A matrix's first evaluation builds no plan; the next two use it.
-        losses.gcl_grad(_batch(rng, n_labeled, n_unlabeled, d), matrix, params)
+        # With the first kernel, ``first`` is the matrix's first evaluation,
+        # the one that builds the plan.
         first = losses.gcl_grad(_batch(rng, n_labeled, n_unlabeled, d), matrix, params)
         kept = [x.copy() for x in _report_arrays(first)]
+        plan = matrix._plan
         second = losses.gcl_grad(_batch(rng, n_labeled, n_unlabeled, d), matrix, params)
-        plan = matrix._loss_plan()
-        assert plan is not None and plan is matrix._loss_plan()
+        assert plan is matrix._plan
         buffers = [x for x in vars(plan).values() if isinstance(x, np.ndarray)]
         for x in _report_arrays(first):
             for y in _report_arrays(second) + buffers:
@@ -352,3 +369,31 @@ def test_reports_share_no_memory(name):
                 assert not np.shares_memory(x, y), (name, params.kind)
         for x, y in zip(_report_arrays(first), kept):
             assert _bit_equal(x, y), (name, params.kind)
+
+
+@pytest.mark.parametrize("name", ["type3", "type4"])
+def test_reused_matrix_allocates_no_square_array(name):
+    # From a matrix's second evaluation on, every (M, M) array of the
+    # evaluation is a plan buffer; the rest is O(M * D) and O(M) arrays plus
+    # NumPy's ufunc iteration buffers. The sq-euclid kernel is left out: its
+    # broadcast sum sq[:, None] + sq[None, :] holds two iteration buffers of
+    # np.getbufsize() float64 each, 128 KB whatever M is, which at M = 128
+    # is one (M, M) array.
+    rng = np.random.default_rng(22)
+    n, d = 64, 8
+    matrix = {"type3": aff.type3_affinity, "type4": aff.type4_affinity}[name](n)
+    square = 8 * matrix.size ** 2
+    peaks = []
+    tracemalloc.start()
+    try:
+        for params in _kernels(rng, d)[1:]:
+            for _ in range(3):
+                batch = _batch(rng, n, 0, d)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                losses.gcl_grad(batch, matrix, params)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] >= 3 * square  # the plan's three buffers
+    assert max(peaks[1:]) < square, peaks
