@@ -80,6 +80,11 @@ def save_checkpoint(path, encoder, kernel_params, mode):
 
 
 def load_checkpoint(path):
+    """(encoder, kernel params, meta) of a checkpoint, written into a new encoder's views.
+
+    A missing meta key or tensor, or a tensor whose shape is not the
+    encoder's, is a ValueError that names it.
+    """
     with open(path) as fh:
         header = fh.readline()
         if CKPT_SCHEMA not in header:
@@ -94,10 +99,20 @@ def load_checkpoint(path):
             rows = [[float(v) for v in fh.readline().split()] for _ in range(n_rows)]
             tensors[name] = np.array(rows).reshape(shape)
             line = fh.readline()
+    missing = [k for k in ("mode", "kind", "tau", "f_in", "hidden", "d_out") if k not in meta]
+    if missing:
+        raise ValueError(f"{path}: meta line has no {', '.join(k + '=' for k in missing)}")
     encoder = Encoder(int(meta["f_in"]), int(meta["hidden"]), int(meta["d_out"]),
                       np.random.default_rng(0))
-    for k in encoder.params:
-        encoder.params[k] = tensors[k]
+    shapes = {k: v.shape for k, v in encoder.params.items()}
+    for name, shape in {**shapes, "kernel.gamma": (1,), "kernel.beta": (1,)}.items():
+        if name not in tensors:
+            raise ValueError(f"{path}: no tensor {name}")
+        if tensors[name].shape != shape:
+            raise ValueError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
+                             f"the encoder's is {shape}")
+    for k, view in encoder.params.items():
+        view[...] = tensors[k]
     kernel = KernelParams(
         kind=meta["kind"], tau=float(meta["tau"]),
         gamma=float(tensors["kernel.gamma"][0]), beta=float(tensors["kernel.beta"][0]),

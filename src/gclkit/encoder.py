@@ -1,7 +1,8 @@
 """Small two-layer embedding network with hand-written backprop.
 
-forward() returns the embeddings plus a cache; backward(cache, grad_z)
-returns the parameter gradients.
+The parameters are one float64 vector, ``flat``; ``params`` holds W1, b1, W2,
+b2 as reshaped views of it, in that order. forward() returns the embeddings
+plus a cache; backward(cache, grad_z) returns the gradient in ``flat``'s layout.
 """
 
 import numpy as np
@@ -14,12 +15,18 @@ class Encoder:
         self.f_in = f_in
         self.hidden = hidden
         self.d_out = d_out
-        self.params = {
-            "W1": rng.normal(0.0, 1.0 / np.sqrt(f_in), size=(f_in, hidden)),
-            "b1": np.zeros(hidden),
-            "W2": rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, d_out)),
-            "b2": np.zeros(d_out),
-        }
+        # Where W1, b1, W2 and b2 start in ``flat``, worked out once.
+        self._starts = np.cumsum([0, f_in * hidden, hidden, hidden * d_out]).tolist()
+        self.flat = np.zeros(self._starts[-1] + d_out)
+        self.params = dict(zip(("W1", "b1", "W2", "b2"), self._views(self.flat)))
+        self.params["W1"][...] = rng.normal(0.0, 1.0 / np.sqrt(f_in), size=(f_in, hidden))
+        self.params["W2"][...] = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, d_out))
+
+    def _views(self, vector):
+        """W1, b1, W2, b2 as views of a vector in ``flat``'s layout."""
+        a, b, c, d = self._starts
+        return (vector[a:b].reshape(self.f_in, self.hidden), vector[b:c],
+                vector[c:d].reshape(self.hidden, self.d_out), vector[d:])
 
     def forward(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -32,21 +39,11 @@ class Encoder:
 
     def backward(self, cache, grad_z):
         x, h = cache
-        grads = {
-            "W2": h.T @ grad_z,
-            "b2": grad_z.sum(axis=0),
-        }
+        grad = np.empty_like(self.flat)
+        g_w1, g_b1, g_w2, g_b2 = self._views(grad)
+        np.matmul(h.T, grad_z, out=g_w2)
+        grad_z.sum(axis=0, out=g_b2)
         dh = (grad_z @ self.params["W2"].T) * (1.0 - h * h)
-        grads["W1"] = x.T @ dh
-        grads["b1"] = dh.sum(axis=0)
-        return grads
-
-    def flat_params(self):
-        return np.concatenate([self.params[k].ravel() for k in sorted(self.params)])
-
-    def set_flat_params(self, flat):
-        pos = 0
-        for k in sorted(self.params):
-            n = self.params[k].size
-            self.params[k] = np.asarray(flat[pos : pos + n]).reshape(self.params[k].shape)
-            pos += n
+        np.matmul(x.T, dh, out=g_w1)
+        dh.sum(axis=0, out=g_b1)
+        return grad

@@ -102,8 +102,12 @@ class ExponentMatrix:
         if kind == "sq-euclid":
             # -(|z|^2 + |z'|^2 - 2 z.z'), each (M, M) step in one buffer.
             # The product is (2z) @ z.T: 2 * (z @ z.T) would round differently.
+            # |z|^2 + |z'|^2 as a copy of the column, then += the row: np.add of
+            # the two broadcasts would buffer both operands in its iterator.
             sq = np.sum(self.z**2, axis=1)
-            self.e = np.add(sq[:, None], sq[None, :], out=out.e)
+            self.e = np.empty((sq.size, sq.size)) if out.e is None else out.e
+            self.e[...] = sq[:, None]
+            self.e += sq
             self.e -= np.matmul(2.0 * self.z, self.z.T, out=out.gram)
             np.negative(self.e, out=self.e)
             np.fill_diagonal(self.e, 0.0)

@@ -6,8 +6,8 @@ semi-supervised batches mix both with a configurable unlabeled fraction of
 the batch slots. All three regimes minimize the same ratio loss, only the
 batch builder and affinity block layout differ.
 
-Updates are plain SGD with momentum on the encoder parameters and on the
-trainable kernel parameters (gamma/beta or the projection head).
+Updates are plain SGD with momentum, in place, on the encoder's one parameter
+vector and on the trainable kernel parameters (gamma/beta or the projection).
 """
 
 import math
@@ -92,17 +92,27 @@ class TrainResult:
 
 
 class SgdMomentum:
+    """SGD with momentum, in place: v = m*v + g, then p -= lr*v; the first v is a copy of g."""
+
     def __init__(self, lr, momentum):
         self.lr = lr
         self.momentum = momentum
         self.velocity = {}
 
-    def update(self, params, grads):
-        for name, g in grads.items():
+    def update(self, encoder, grad, kernel_params, grad_kernel):
+        """One step on ``encoder.flat`` and on the KernelParams fields ``grad_kernel`` names."""
+        steps = [(encoder, "flat", grad)] + [(kernel_params, k, g) for k, g in grad_kernel.items()]
+        for owner, name, g in steps:
             v = self.velocity.get(name)
-            v = g if v is None else self.momentum * v + g
+            if v is None:
+                v = g.copy() if isinstance(g, np.ndarray) else g  # not g's own buffer
+            else:
+                v *= self.momentum
+                v += g
             self.velocity[name] = v
-            params[name] = params[name] - self.lr * v
+            p = getattr(owner, name)
+            p -= self.lr * v
+            setattr(owner, name, p)  # the same array, or gamma/beta's new float
 
 
 def batch_composition(config):
@@ -226,16 +236,14 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
 
         # Push entry gradients back through prototypes/views onto the encodings.
         grad_src = batching.backprop_to_sources(rep, report.grad_z)
-        grads = {}
-        split = 0 if rep0 is None else len(rep0.source_entry)
-        if cache0 is not None:
-            grads = encoder.backward(cache0, grad_src[:split])
-        if cache1 is not None:
-            g = encoder.backward(cache1, grad_src[split:])
-            grads = {k: grads[k] + v for k, v in g.items()} if grads else g
-        # Update each parameter where it lives; grad_kernel keys are KernelParams fields.
-        opt.update(encoder.params, grads)
-        opt.update(vars(kernel_params), report.grad_kernel)
+        if cache0 is None:
+            grad = encoder.backward(cache1, grad_src)
+        else:
+            split = len(rep0.source_entry)
+            grad = encoder.backward(cache0, grad_src[:split])
+            if cache1 is not None:
+                grad += encoder.backward(cache1, grad_src[split:])
+        opt.update(encoder, grad, kernel_params, report.grad_kernel)
         kernel_params.gamma = max(kernel_params.gamma, GAMMA_MIN)
 
         rec = StepRecord(

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -103,6 +104,28 @@ class TestSubstreams:
         assert cli.substream(5, "data").random() == cli.substream(5, "data").random()
 
 
+# case -> what the error names
+MALFORMED_CHECKPOINTS = [
+    ("no tensor b1", "no tensor b1"),
+    ("no hidden=", "meta line has no hidden="),
+    ("W1 too wide", r"tensor W1 has shape \(\d+, 3\), the encoder's is \(\d+, 5\)"),
+]
+
+
+def malform(path, case):
+    """Rewrite a checkpoint of a 3-hidden-unit encoder into one MALFORMED_CHECKPOINTS case."""
+    lines = path.read_text().splitlines(keepends=True)
+    meta = next(i for i, line in enumerate(lines) if line.startswith("meta "))
+    if case == "no tensor b1":
+        at = lines.index("tensor b1 3\n")
+        del lines[at:at + 2]
+    elif case == "no hidden=":
+        lines[meta] = lines[meta].replace(" hidden=3", "")
+    else:  # the encoder has 5 hidden units, the tensors 3
+        lines[meta] = lines[meta].replace(" hidden=3", " hidden=5")
+    path.write_text("".join(lines))
+
+
 class TestSerialization:
     def test_dataset_round_trip(self, tmp_path):
         ds = synth_dataset(SyntheticConfig(n_speakers=3, utterances_per_speaker=2,
@@ -118,8 +141,12 @@ class TestSerialization:
         params = KernelParams("affine-cosine", gamma=7.5, beta=-2.25)
         cli.save_checkpoint(tmp_path / "c.txt", enc, params, "supervised")
         enc2, params2, meta = cli.load_checkpoint(tmp_path / "c.txt")
+        assert np.array_equal(enc2.flat, enc.flat)
         for k in enc.params:
             assert np.array_equal(enc2.params[k], enc.params[k])
+            # The parameters stay views of the one vector on both sides.
+            assert np.shares_memory(enc2.params[k], enc2.flat)
+            assert np.shares_memory(enc.params[k], enc.flat)
         assert params2.gamma == 7.5 and params2.beta == -2.25
         assert meta["mode"] == "supervised"
 
@@ -135,6 +162,14 @@ class TestSerialization:
     def test_checkpoint_rejects_foreign_file(self, tmp_path):
         (tmp_path / "c.txt").write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
+            cli.load_checkpoint(tmp_path / "c.txt")
+
+    @pytest.mark.parametrize("case, message", MALFORMED_CHECKPOINTS)
+    def test_checkpoint_rejects_malformed_file(self, tmp_path, case, message):
+        enc = Encoder(4, 3, 2, np.random.default_rng(0))
+        cli.save_checkpoint(tmp_path / "c.txt", enc, KernelParams("sq-euclid"), "supervised")
+        malform(tmp_path / "c.txt", case)
+        with pytest.raises(ValueError, match=message):
             cli.load_checkpoint(tmp_path / "c.txt")
 
 
@@ -258,6 +293,20 @@ class TestCommands:
         second = (out / "metrics.csv").read_text().splitlines()[1:]
         assert first == second
         assert (out / "checkpoint.txt").read_bytes() == ckpt
+
+    @pytest.mark.parametrize("case, message", MALFORMED_CHECKPOINTS)
+    def test_eval_rejects_malformed_checkpoint(self, tmp_path, capsys, case, message):
+        cfg = write_config(tmp_path, SMALL_CFG + "train.steps = 0\ntrain.hidden_dim = 3\n")
+        out = tmp_path / "run"
+        base = ["--config", str(cfg), "--out", str(out)]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["train"] + base) == 0
+        capsys.readouterr()
+        malform(out / "checkpoint.txt", case)
+        assert cli.main(["eval"] + base) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err)
+        assert not (out / "eer.txt").exists()
 
     def test_train_steps_zero_checkpoint_equals_init(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CFG + "train.steps = 0\n")

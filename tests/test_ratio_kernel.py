@@ -375,10 +375,11 @@ def test_reports_share_no_memory(name):
 def test_reused_matrix_allocates_no_square_array(name):
     # From a matrix's second evaluation on, every (M, M) array of the
     # evaluation is a plan buffer; the rest is O(M * D) and O(M) arrays plus
-    # NumPy's ufunc iteration buffers. The sq-euclid kernel is left out: its
-    # broadcast sum sq[:, None] + sq[None, :] holds two iteration buffers of
-    # np.getbufsize() float64 each, 128 KB whatever M is, which at M = 128
-    # is one (M, M) array.
+    # NumPy's ufunc iteration buffers, under 0.8 of an (M, M) array at
+    # M = 128. The sq-euclid exponent's |z|^2 + |z'|^2 is a copy of the
+    # column followed by += the row: np.add of the two broadcasts would hold
+    # two iteration buffers of np.getbufsize() float64 each, 128 KB whatever
+    # M is, which at M = 128 is one more (M, M) array.
     rng = np.random.default_rng(22)
     n, d = 64, 8
     matrix = {"type3": aff.type3_affinity, "type4": aff.type4_affinity}[name](n)
@@ -386,7 +387,7 @@ def test_reused_matrix_allocates_no_square_array(name):
     peaks = []
     tracemalloc.start()
     try:
-        for params in _kernels(rng, d)[1:]:
+        for params in _kernels(rng, d):
             for _ in range(3):
                 batch = _batch(rng, n, 0, d)
                 before = tracemalloc.get_traced_memory()[0]
@@ -396,4 +397,4 @@ def test_reused_matrix_allocates_no_square_array(name):
     finally:
         tracemalloc.stop()
     assert peaks[0] >= 3 * square  # the plan's three buffers
-    assert max(peaks[1:]) < square, peaks
+    assert max(peaks[1:]) < 0.8 * square, [p / square for p in peaks]

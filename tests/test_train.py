@@ -210,6 +210,36 @@ class TestTraining:
         assert all(np.isfinite(r.loss) for r in result.metrics)
 
 
+class TestSgdMomentum:
+    def test_two_steps_follow_the_rule_in_place(self):
+        rng = np.random.default_rng(0)
+        enc = Encoder(3, 4, 2, rng)
+        proj = rng.normal(size=(2, 2))
+        kp = KernelParams("cosine-temp", proj=proj.copy())
+        p0, q0 = enc.flat.copy(), proj.copy()
+        g, gq = rng.normal(size=enc.flat.size), rng.normal(size=(2, 2))
+        g0, gq0 = g.copy(), gq.copy()
+        view, kept_proj = enc.params["W1"], kp.proj
+        opt = training.SgdMomentum(0.1, 0.9)
+        for _ in range(2):
+            opt.update(enc, g, kp, {"proj": gq})
+        # The velocity is a copy, so the steps never write into a gradient.
+        assert np.array_equal(g, g0) and np.array_equal(gq, gq0)
+        assert np.array_equal(enc.flat, (p0 - 0.1 * g0) - 0.1 * (0.9 * g0 + g0))
+        assert np.array_equal(kp.proj, (q0 - 0.1 * gq0) - 0.1 * (0.9 * gq0 + gq0))
+        assert enc.params["W1"] is view and kp.proj is kept_proj
+
+    def test_gamma_and_beta_stay_python_floats(self):
+        enc = Encoder(3, 4, 2, np.random.default_rng(0))
+        kp = KernelParams("affine-cosine", gamma=2.0, beta=-1.0)
+        opt = training.SgdMomentum(0.1, 0.9)
+        for _ in range(2):
+            opt.update(enc, np.zeros_like(enc.flat), kp, {"gamma": 0.5, "beta": -0.25})
+        assert type(kp.gamma) is float and type(kp.beta) is float
+        assert kp.gamma == (2.0 - 0.1 * 0.5) - 0.1 * (0.9 * 0.5 + 0.5)
+        assert kp.beta == (-1.0 - 0.1 * -0.25) - 0.1 * (0.9 * -0.25 + -0.25)
+
+
 class TestEndToEndGradient:
     def test_loss_through_encoder_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -220,20 +250,19 @@ class TestEndToEndGradient:
         options = losses.GclOptions(epsilon=1e-16)
 
         def loss_at(flat):
-            encoder.set_flat_params(flat)
+            encoder.flat[:] = flat
             z, _ = encoder.forward(samples.reshape(6, 6))
             rep = batching.build_prototype_batch(z.reshape(3, 2, -1))
             return losses.gcl(rep, m, params, options).loss
 
-        x0 = encoder.flat_params().copy()
+        x0 = encoder.flat.copy()
         z, cache = encoder.forward(samples.reshape(6, 6))
         rep = batching.build_prototype_batch(z.reshape(3, 2, -1))
         report = losses.gcl_grad(rep, m, params, options)
         grad_src = batching.backprop_to_sources(rep, report.grad_z)
-        grads = encoder.backward(cache, grad_src)
-        analytic = np.concatenate([grads[k].ravel() for k in sorted(grads)])
+        analytic = encoder.backward(cache, grad_src)
         err = losses.finite_diff_check(loss_at, analytic, x0)
-        encoder.set_flat_params(x0)
+        encoder.flat[:] = x0
         assert err < 1e-4
 
 
@@ -245,11 +274,31 @@ class TestEncoder:
 
     def test_flat_params_round_trip(self):
         enc = Encoder(3, 5, 2, np.random.default_rng(0))
-        flat = enc.flat_params().copy()
-        enc.set_flat_params(np.zeros_like(flat))
+        flat = enc.flat.copy()
+        enc.flat[:] = 0.0
         assert np.all(enc(np.ones((1, 3))) == 0.0)
-        enc.set_flat_params(flat)
-        assert np.array_equal(enc.flat_params(), flat)
+        enc.flat[:] = flat
+        assert np.array_equal(enc.flat, flat)
+
+    def test_params_are_views_of_flat(self):
+        enc = Encoder(3, 5, 2, np.random.default_rng(0))
+        assert enc.flat.dtype == np.float64 and enc.flat.shape == (3 * 5 + 5 + 5 * 2 + 2,)
+        assert {k: v.shape for k, v in enc.params.items()} == {
+            "W1": (3, 5), "b1": (5,), "W2": (5, 2), "b2": (2,)}
+        for v in enc.params.values():
+            assert np.shares_memory(v, enc.flat)
+        assert sum(v.size for v in enc.params.values()) == enc.flat.size
+
+    def test_backward_returns_a_fresh_vector(self):
+        rng = np.random.default_rng(2)
+        enc = Encoder(4, 3, 2, rng)
+        x = rng.normal(size=(5, 4))
+        _, cache = enc.forward(x)
+        g1 = enc.backward(cache, np.ones((5, 2)))
+        g2 = enc.backward(cache, np.ones((5, 2)))
+        assert g1.shape == enc.flat.shape and not np.shares_memory(g1, g2)
+        assert not np.shares_memory(g1, enc.flat)
+        assert np.array_equal(g1, g2)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -258,11 +307,10 @@ class TestEncoder:
         w = rng.normal(size=(5, 2))  # random linear functional of the output
 
         def f(flat):
-            enc.set_flat_params(flat)
+            enc.flat[:] = flat
             return float(np.sum(w * enc(x)))
 
-        x0 = enc.flat_params().copy()
+        x0 = enc.flat.copy()
         _, cache = enc.forward(x)
-        grads = enc.backward(cache, w)
-        analytic = np.concatenate([grads[k].ravel() for k in sorted(grads)])
+        analytic = enc.backward(cache, w)
         assert losses.finite_diff_check(f, analytic, x0) < 1e-6
