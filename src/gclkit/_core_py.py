@@ -1,97 +1,119 @@
 """The per-anchor ratio-loss kernel, in NumPy, and the loss plan it runs on.
 
-The kernel makes each pass over the (M, M) matrices once, on the active rows
-only (a type-3 affinity has half its rows inactive), and builds the gradient
-in place. ``np.exp`` never sees -inf: off-support cells are set to 0 before
-the exponential and zeroed after it, because NumPy's exp leaves its
-vectorized path on -inf and runs several times slower there. Every element
-goes through the same operations in the same order as the direct formula,
-so the outputs are bit-identical to it.
+A loss reads only the affinity's support block: the active rows R (the
+anchors, rows with a positive cell) against the support columns C (the
+columns with a nonzero cell on an active row). Every evaluation runs on a
+``_LossPlan`` that describes that block, and the exponent matrix, this
+kernel and the backward pass compute its (R, C) cells only. With every row
+active the block is the whole (M, M) matrix (type 2, type 4, semi); type 3,
+the episode layout, is its (N, N) query x prototype block, and type 1 its
+(N, N) block of query rows against their partners. An ``AffinityMatrix``
+builds its plan on its first evaluation and holds it, with float64 buffers
+of the block's shape, while it lives; a call without a plan builds a
+throwaway one, reads the block out of a full (M, M) exponent matrix and
+returns a full (M, M) gradient, zero off the block.
 
-The affinity may be int8 (the built-in layouts) or float: the kernel only
-compares it with 0, so both give the same bits.
+The kernel has two paths, both on the block. The dense path is taken when
+the plan's ``partner`` field is set: every block cell is in the support
+except the self cells (row index == column index), and each row has exactly
+one positive, at block column ``partner[i]``. That is NT-Xent (type 4 and
+strict semi: the whole matrix, with the diagonal as self cells) and type 3
+(no self cells). There ``w`` is built without masks, and the numerator is
+``w[i, partner[i]]``. Off the partner cell the gradient's first term is
+``0 * den``, which the path keeps: it is NaN where ``den`` is inf, so a
+diverged row stays loud. The partner cells are then overwritten in O(R).
+Every other layout takes the masked path, where ``np.exp`` never sees -inf:
+off-support cells are set to 0 before the exponential and zeroed after it,
+because NumPy's exp leaves its vectorized path on -inf and runs several
+times slower there.
 
-Every evaluation runs on a ``_LossPlan``: an ``AffinityMatrix`` builds its
-plan on its first evaluation and holds it, with three float64 (M, M)
-buffers, while it lives; a call without a plan builds a throwaway one. The
-plan changes where values are stored, not how they are computed: ``np.take``
-plus a masked ``copyto`` select the cells ``np.where`` would, and every
-ufunc writes with ``out=`` the values it would return in a fresh array, in
-the same order, so the exponent matrix, the kernel and the backward pass
-give the bits they give without it.
-
-The NT-Xent layout (type 4 and strict semi) has its own path, taken when the
-plan's ``partner`` field is set: the column of each row's only positive,
-with every off-diagonal cell in the support. There the off-support mask is
-the diagonal, so ``w`` is built without masks, and the numerator is
-``w[i, partner[i]]``: the direct formula's row sum adds only +0.0 to it,
-which leaves every value, NaN and inf unchanged. Off the partner cell the
-direct gradient's first term is ``0 * den``, which the path keeps (it is NaN
-where ``den`` is inf, and it fixes the sign of a zero), and the partner
-cells are then overwritten with the direct formula in O(M).
+The values agree with the direct whole-matrix formula to rounding, not bit
+for bit: a row sum over the block groups its terms differently from one
+over M cells with zeros interleaved. The affinity may be int8 (the built-in
+layouts) or float: the kernel only compares it with 0, so both give the
+same bits.
 """
 
 import numpy as np
 
 
-def _partner(a, rows):
-    """The read-only ``partner`` column of the NT-Xent pattern, or None.
+def _partner(block, whole):
+    """The read-only ``partner`` column of a dense block, or None.
 
-    Any matrix with that pattern of zero and positive cells has one: the
+    Any block with that pattern of zero and positive cells has one: the
     kernel reads no magnitudes."""
-    m = a.shape[0]
-    # The cheapest exits first: the M-element active count rejects types 1
-    # and 3 before either M^2 count, and the counts come before the positive
-    # mask, which other layouts never need. count_nonzero, not .all()/.any(),
+    r, c = block.shape
+    # The cheapest exits first: the counts come before the positive mask,
+    # which masked layouts never need. count_nonzero, not .all()/.any(),
     # because the reductions' call overhead is most of the cost at small M.
-    if (m == 0 or rows.size != m or np.count_nonzero(a) != m * (m - 1)
-            or np.count_nonzero(a.diagonal())):
+    if whole:
+        if np.count_nonzero(block) != r * (r - 1) or np.count_nonzero(block.diagonal()):
+            return None
+    elif np.count_nonzero(block) != r * c:
         return None
-    pos = a > 0
+    pos = block > 0
+    # One positive per row: R in all, and one in every row (a caller's
+    # ``active`` may flag a row that has none).
+    if np.count_nonzero(pos) != r or np.count_nonzero(pos.any(axis=1)) != r:
+        return None
     partner = pos.argmax(axis=1)
-    # One positive per row: M in all, and each row's first is positive (a
-    # caller's ``active`` may flag a row that has none).
-    if np.count_nonzero(pos) != m or not pos[rows, partner].all():
-        return None
     partner.flags.writeable = False
     return partner
+
+
+def _index(mask):
+    """The positions of ``mask``, as a slice when they are evenly spaced:
+    indexing with a slice makes views, not copies (type 1 and type 3
+    take every other row and column)."""
+    idx = np.flatnonzero(mask)
+    if idx.size < 2:
+        return idx
+    start, step, stop = idx[0], idx[1] - idx[0], idx[-1] + 1
+    # Every position inside the progression, and as many as it has.
+    index = slice(start, stop, step)
+    if len(range(start, stop, step)) == idx.size == np.count_nonzero(mask[index]):
+        return index
+    return idx
 
 
 class _LossPlan:
     """What every loss evaluation on one affinity matrix would otherwise rebuild.
 
     Built from the (M, M) affinity ``a`` and the (M,) anchor mask ``active``.
-    ``rows`` are the active rows. Unless the matrix has a ``partner`` column
-    (whose kernel path needs no masks), ``off`` and ``pos`` are its zero and
-    positive cells on those rows. The (M, M) buffers are written with
-    ``out=`` by the exponent matrix and its backward pass (``e``, ``gram``;
-    see ``ExponentMatrix``) and by the ratio kernel (``de``). There are
-    three, not one per array: a buffer is reused once its last reader is
-    done, which keeps a step's working set small.
+    ``rows`` index the active rows and ``cols`` the columns with a nonzero
+    cell on one of them, every column when every row is active (``whole``);
+    ``shape`` is the block's (R, C). ``partner`` selects the kernel's dense
+    path (see the module docstring); otherwise ``off`` and ``pos`` are the
+    block's zero and positive cells.
 
-    The masked path works in ``w`` and ``p``, one row per active row. With
-    every row active ``p`` is ``de``; otherwise ``de`` is zeroed here and
-    the kernel copies ``p`` into its active rows, so its inactive rows stay
-    zero. (A strided view of those rows would save the copy, but passes over
-    a strided view cost more than the copy saves.)
+    The buffers have the block's shape. ``e`` and ``gram`` are written with
+    ``out=`` by the exponent matrix (see ``ExponentMatrix``), ``de`` by the
+    ratio kernel, which returns it as the gradient, and the masked path
+    works in ``w`` as well. A buffer is reused once its last reader is done,
+    which keeps a step's working set small.
     """
 
     def __init__(self, a, active):
         m = a.shape[0]
-        rows = np.flatnonzero(active)
-        self.rows = rows
-        self.partner = _partner(a, rows)
-        self.e, self.gram, self.de = np.empty((m, m)), np.empty((m, m)), np.empty((m, m))
-        self.off = self.pos = self.w = self.p = None
-        if self.partner is None and rows.size:
-            sub = a if rows.size == m else a[rows]
-            self.off = sub == 0
-            self.pos = sub > 0
-            self.w = np.empty(sub.shape)
-            self.p = self.de
-            if rows.size < m:
-                self.de.fill(0.0)
-                self.p = np.empty(sub.shape)
+        self.whole = np.count_nonzero(active) == m
+        if self.whole:
+            self.rows = self.cols = slice(None)
+            block = a
+        else:
+            self.rows = _index(active)
+            block = a[self.rows]
+            self.cols = _index(block.any(axis=0))
+            block = block[:, self.cols]
+        self.shape = shape = block.shape
+        self.partner = _partner(block, self.whole) if block.size else None
+        self.e, self.gram, self.de = np.empty(shape), np.empty(shape), np.empty(shape)
+        self.off = self.pos = self.w = None
+        if self.partner is not None:
+            self.partner_cells = (np.arange(shape[0]), self.partner)
+        elif block.size:
+            self.off = block == 0
+            self.pos = block > 0
+            self.w = np.empty(shape)
 
 
 def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None):
@@ -106,49 +128,63 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None):
 
     Parameters
     ----------
-    e : (M, M) float64 exponent matrix (similarities are exp(e)).
+    e : float64 exponent matrix (similarities are exp(e)): the (R, C)
+        support block of ``plan``, or the full (M, M) matrix without one.
     a : (M, M) int8 or float64 affinity matrix.
     active : (M,) bool, anchors with nonempty positive support.
     eps : denominator guard.
     log_transform : apply log to each ratio before averaging.
     inv_norm : 1 / normalization count.
     plan : the ``_LossPlan`` of ``a`` and ``active``, such as an affinity
-        matrix's (``AffinityMatrix._plan``); the kernel then reads the active
-        rows, ``partner`` and masks from it, and the returned ``de`` is its
-        buffer, valid until the plan's next evaluation. Without one, a
-        throwaway plan is built, so every returned array is fresh.
+        matrix's (``AffinityMatrix._plan``); the kernel then reads the
+        block, ``partner`` and masks from it, and the returned ``de`` is its
+        (R, C) buffer, valid until the plan's next evaluation. Without one,
+        a throwaway plan is built, and every returned array is fresh.
 
     Returns
     -------
     (loss, r, de) where r is (M,) with zeros on inactive rows and de is the
-    (M, M) gradient of the loss w.r.t. the exponent matrix.
+    gradient of the loss w.r.t. ``e``, of ``e``'s shape.
     """
     if plan is None:
         plan = _LossPlan(a, active)
-    m = e.shape[0]
-    r = np.zeros(m)
-    rows, partner = plan.rows, plan.partner
-    if rows.size == 0:
-        return 0.0, r, np.zeros((m, m))
+        if not plan.whole:
+            index = np.arange(a.shape[0])
+            cells = np.ix_(index[plan.rows], index[plan.cols])
+            de = np.zeros(e.shape)
+            loss, r, de[cells] = ratio_terms(e[cells], a, active, eps, log_transform,
+                                             inv_norm, plan)
+            return loss, r, de
+    r = np.zeros(a.shape[0])
+    partner = plan.partner
+    if not plan.shape[0]:
+        return 0.0, r, plan.de
 
     # Row-wise max over the nonzero support, then w = exp(e - max) on the
     # support and 0 off it.
     if partner is not None:
         w = plan.de
-        np.copyto(w, e)
-        diag = w.reshape(-1)[:: m + 1]  # the off-support cells
-        diag[:] = -np.inf
-        mx = w.max(axis=1)
-        w -= mx[:, None]
-        diag[:] = 0.0
-        np.exp(w, out=w)
-        diag[:] = 0.0
-        num = w[rows, partner]
+        if plan.whole:
+            np.copyto(w, e)
+            diag = w.reshape(-1)[:: w.shape[1] + 1]  # the self cells, off the support
+            diag[:] = -np.inf
+            mx = w.max(axis=1)
+            w -= mx[:, None]
+            diag[:] = 0.0
+            np.exp(w, out=w)
+            diag[:] = 0.0
+        else:
+            mx = e.max(axis=1)
+            np.subtract(e, mx[:, None], out=w)
+            np.exp(w, out=w)
+        num = w[plan.partner_cells]
     else:
-        off, w, p = plan.off, plan.w, plan.p
-        np.take(e, rows, axis=0, out=w, mode="clip")
+        off, w, p = plan.off, plan.w, plan.de
+        np.copyto(w, e)
         np.copyto(w, -np.inf, where=off)
-        mx = w.max(axis=1)
+        # initial: a caller's ``active`` may flag only rows without support,
+        # which leaves the block no column; such a row's max is -inf.
+        mx = w.max(axis=1, initial=-np.inf)
         w -= mx[:, None]
         np.copyto(w, 0.0, where=off)
         np.exp(w, out=w)
@@ -160,7 +196,7 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None):
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = num / den
-    r[rows] = ratios
+    r[plan.rows] = ratios
 
     if log_transform:
         terms = np.log(ratios)
@@ -168,7 +204,7 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None):
             dl_dr = -inv_norm / ratios
     else:
         terms = ratios
-        dl_dr = np.full(rows.size, -inv_norm)
+        dl_dr = np.full(ratios.size, -inv_norm)
     loss = -inv_norm * float(terms.sum())
 
     # dr/de_ij = (p_ij * den - num * w_ij) / den^2 ; negatives have p_ij = 0.
@@ -179,14 +215,11 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None):
         np.subtract((0.0 * den)[:, None], w, out=w)
         np.divide(w, (den * den)[:, None], out=w)
         np.multiply(dl_dr[:, None], w, out=w)
-        w[rows, partner] = dl_dr * ((num * den - num * num) / (den * den))
+        w[plan.partner_cells] = dl_dr * ((num * den - num * num) / (den * den))
         return loss, r, w
-    # Built in p's buffer, which is de or, with inactive rows, de's active rows.
     np.multiply(p, den[:, None], out=p)
     np.multiply(num[:, None], w, out=w)
     np.subtract(p, w, out=p)
     np.divide(p, (den * den)[:, None], out=p)
     np.multiply(dl_dr[:, None], p, out=p)
-    if rows.size < m:
-        plan.de[rows] = p
-    return loss, r, plan.de
+    return loss, r, p

@@ -16,7 +16,9 @@ exactly one entry (a query, a support or a view), so the map is two arrays
 indexed by pool row: ``source_entry[r]`` is the entry row ``r`` feeds and
 ``source_coeff[r]`` its weight in that entry, e.g. 1/(K'-1) for a support
 averaged into a prototype. Together they are the sparse matrix S with
-``z = S @ pool``, and the loss gradient on the pool is ``S.T @ grad_z``.
+``z = S @ pool``, and the loss gradient on the pool is ``S.T @ grad_z``. A
+prototype batch's map depends only on (N, K') and an augmented batch's only
+on N', so every batch of one shape shares read-only arrays.
 """
 
 from dataclasses import dataclass, field
@@ -85,6 +87,12 @@ def _tag(tags, k):
     return f"(group={g}, index={i}, slot={s})"
 
 
+def _read_only(*arrays):
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 @cache
 def canonical_tags(n_labeled, n_unlabeled):
     """Read-only (groups, indices, slots) of a batch in canonical flattened order.
@@ -95,9 +103,22 @@ def canonical_tags(n_labeled, n_unlabeled):
     indices = np.concatenate([np.repeat(np.arange(1, n + 1), 2)
                               for n in (n_labeled, n_unlabeled)])
     slots = np.tile([1, 2], n_labeled + n_unlabeled)
-    for tag in (groups, indices, slots):
-        tag.flags.writeable = False
-    return groups, indices, slots
+    return _read_only(groups, indices, slots)
+
+
+@cache
+def _prototype_sources(n, kp):
+    """Read-only source map of a prototype batch: pool row i*K' + j feeds
+    the query (j = 0) or the prototype of class i."""
+    support = np.arange(kp) > 0
+    return _read_only((2 * np.arange(n)[:, None] + support).ravel(),
+                      np.tile(np.where(support, 1.0 / (kp - 1), 1.0), n))
+
+
+@cache
+def _augmented_sources(n):
+    """Read-only source map of an augmented batch: view r is entry r."""
+    return _read_only(np.arange(2 * n), np.ones(2 * n))
 
 
 def two_step_sample(dataset, n, k, rng):
@@ -134,11 +155,7 @@ def build_prototype_batch(encoded):
     z = np.empty((2 * n, d))
     z[0::2] = encoded[:, 0]
     z[1::2] = encoded[:, 1:].mean(axis=1)
-    # Pool row i*K' + j feeds the query (j = 0) or the prototype of class i.
-    support = np.arange(kp) > 0
-    source_entry = (2 * np.arange(n)[:, None] + support).ravel()
-    source_coeff = np.tile(np.where(support, 1.0 / (kp - 1), 1.0), n)
-    return RepresentationBatch(z, *canonical_tags(n, 0), n, 0, source_entry, source_coeff)
+    return RepresentationBatch(z, *canonical_tags(n, 0), n, 0, *_prototype_sources(n, kp))
 
 
 def build_augmented_batch(samples, t1, t2, encode):
@@ -155,7 +172,7 @@ def build_augmented_batch(samples, t1, t2, encode):
     n = samples.shape[0]
     views = _paired_views(samples, t1, t2).reshape(2 * n, samples.shape[1])
     z = np.asarray(encode(views), dtype=float)
-    return RepresentationBatch(z, *canonical_tags(0, n), 0, n, np.arange(2 * n), np.ones(2 * n))
+    return RepresentationBatch(z, *canonical_tags(0, n), 0, n, *_augmented_sources(n))
 
 
 def merge_semi_batch(z0, z1):

@@ -83,46 +83,71 @@ class ExponentMatrix:
     ``backward(grad_e)`` maps a gradient on the exponent matrix to gradients
     on the batch embeddings and on the trainable kernel parameters.
 
-    ``plan`` (an affinity matrix's loss plan) lends two (M, M) buffers: one
-    for the exponent ``e``, one for the Gram product (the cosine ``_c``, or
-    ``2z @ z.T``). The backward pass reuses them once their contents are
-    read for the last time: ``grad_c`` goes to the Gram buffer and
-    ``grad_c + grad_c.T`` (for sq-euclid ``grad_e + grad_e.T``) to ``e``'s.
-    Each array is written with ``out=`` by the operation that would
-    otherwise allocate it, so the values are the same bits. Such a matrix
-    is valid until the plan's next evaluation, and its ``backward`` runs
-    once, after the loss has read ``e``.
+    Without ``plan`` the exponent matrix ``e`` is the full (M, M) one. With
+    one (an affinity matrix's loss plan), ``e`` is the plan's (R, C) support
+    block, computed from the entries of its rows and of its columns only,
+    and the plan lends two buffers of that shape: one for ``e``, one for the
+    Gram product (the cosine ``_c``, or ``2x @ y.T``), which the backward
+    pass reuses once its contents are read for the last time. When the block
+    is the whole matrix, the products stay ``(2z) @ z.T`` and ``v @ v.T``
+    (NumPy hands a product of an array with its own transpose to a different
+    BLAS routine) and the diagonal is zeroed, as without a plan. Such a
+    matrix is valid until the plan's next evaluation, and its ``backward``
+    runs once, after the loss has read ``e``.
     """
 
     def __init__(self, z, params, plan=None):
         self.z = np.asarray(z, dtype=float)
         self.params = params
         self._out = out = _Fresh if plan is None else plan
+        # The block's row and column entries; None for the whole matrix.
+        self._block = None if plan is None or plan.whole else (plan.rows, plan.cols)
         kind = params.kind
         if kind == "sq-euclid":
-            # -(|z|^2 + |z'|^2 - 2 z.z'), each (M, M) step in one buffer.
-            # The product is (2z) @ z.T: 2 * (z @ z.T) would round differently.
-            # |z|^2 + |z'|^2 as a copy of the column, then += the row: np.add of
+            # -(|x|^2 + |y|^2 - 2 x.y), each step in one buffer. The product
+            # is (2x) @ y.T: 2 * (x @ y.T) would round differently.
+            # |x|^2 + |y|^2 as a copy of the column, then += the row: np.add of
             # the two broadcasts would buffer both operands in its iterator.
-            sq = np.sum(self.z**2, axis=1)
-            self.e = np.empty((sq.size, sq.size)) if out.e is None else out.e
-            self.e[...] = sq[:, None]
-            self.e += sq
-            self.e -= np.matmul(2.0 * self.z, self.z.T, out=out.gram)
+            self._x, self._y = x, y = self._sides(self.z)
+            sqx, sqy = self._sides(np.sum(self.z**2, axis=1))
+            self.e = np.empty((sqx.size, sqy.size)) if out.e is None else out.e
+            self.e[...] = sqx[:, None]
+            self.e += sqy
+            self.e -= np.matmul(2.0 * x, y.T, out=out.gram)
             np.negative(self.e, out=self.e)
-            np.fill_diagonal(self.e, 0.0)
+            if self._block is None:
+                np.fill_diagonal(self.e, 0.0)
         else:
             self._u = self.z @ params.proj if kind == "cosine-temp" else self.z
             norms = np.linalg.norm(self._u, axis=1)
             self._norms = norms
             safe = np.where(norms == 0.0, 1.0, norms)
             self._v = self._u / safe[:, None]
-            self._c = np.matmul(self._v, self._v.T, out=out.gram)
+            self._vx, self._vy = vx, vy = self._sides(self._v)
+            self._c = np.matmul(vx, vy.T, out=out.gram)
             if kind == "cosine-temp":
                 self.e = np.divide(self._c, params.tau, out=out.e)
             else:
                 self.e = np.multiply(params.gamma, self._c, out=out.e)
                 self.e += params.beta
+
+    def _sides(self, x):
+        """(x on the block's rows, x on its columns): x itself for the whole matrix."""
+        if self._block is None:
+            return x, x
+        rows, cols = self._block
+        return x[rows], x[cols]
+
+    def _combine(self, on_rows, on_cols):
+        """Per-entry sum of a gradient on the block's rows and one on its columns."""
+        if self._block is None:
+            on_rows += on_cols
+            return on_rows
+        rows, cols = self._block
+        out = np.zeros((self.z.shape[0], on_rows.shape[1]))
+        out[rows] = on_rows
+        out[cols] += on_cols
+        return out
 
     def backward(self, grad_e):
         """Returns (grad_z, grad_kernel dict with gamma/beta/proj where trainable)."""
@@ -130,9 +155,11 @@ class ExponentMatrix:
         out = self._out
         grad_kernel = {}
         if kind == "sq-euclid":
-            s = np.add(grad_e, grad_e.T, out=out.e)
-            grad_z = -2.0 * (s.sum(axis=1)[:, None] * self.z - s @ self.z)
-            return grad_z, grad_kernel
+            # e_ij = -|x_i - y_j|^2, so de_ij/dx_i = -2 (x_i - y_j) = -de_ij/dy_j.
+            x, y = self._x, self._y
+            grad_x = grad_e.sum(axis=1)[:, None] * x - grad_e @ y
+            grad_y = grad_e.sum(axis=0)[:, None] * y - grad_e.T @ x
+            return -2.0 * self._combine(grad_x, grad_y), grad_kernel
 
         if kind == "cosine-temp":
             grad_c = np.divide(grad_e, self.params.tau, out=out.gram)
@@ -142,8 +169,8 @@ class ExponentMatrix:
             grad_kernel["beta"] = float(np.sum(grad_e))
             np.multiply(self.params.gamma, grad_e, out=grad_c)
 
-        # c = v v^T with v = u / ||u||; radial components cancel on the diagonal.
-        grad_v = np.add(grad_c, grad_c.T, out=out.e) @ self._v
+        # c = vx vy^T with v = u / ||u||; radial components cancel on the diagonal.
+        grad_v = self._combine(grad_c @ self._vy, grad_c.T @ self._vx)
         radial = np.sum(grad_v * self._v, axis=1, keepdims=True)
         safe = np.where(self._norms == 0.0, 1.0, self._norms)
         grad_u = (grad_v - radial * self._v) / safe[:, None]
@@ -158,8 +185,6 @@ class ExponentMatrix:
 
 
 def exponent_matrix(batch, params, plan=None):
-    """ExponentMatrix over all ordered entry pairs of a representation batch.
-
-    ``plan`` lends the (M, M) buffers (see ``ExponentMatrix``).
-    """
+    """ExponentMatrix over all ordered entry pairs of a representation batch,
+    or over the support block of ``plan`` (see ``ExponentMatrix``)."""
     return ExponentMatrix(batch.z, params, plan)

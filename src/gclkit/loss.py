@@ -19,13 +19,16 @@ positive cells, so they give the same bits as their float64 copies. Scorers
 of the complete form receive each entry as a Python float.
 
 Every evaluation runs on the matrix's loss plan (``AffinityMatrix._plan``,
-see ``_core_py``), built on its first evaluation and held with its three
-float64 (M, M) buffers while the matrix lives, so one matrix must not be
-evaluated from two threads at once. Its active rows give A, and its
-``partner`` field, when set, selects the kernel's mask-free NT-Xent path.
-The exponent products stay as written, ``(2z) @ z.T`` and ``v @ v.T``:
-NumPy hands a product of an array with its own transpose to a different
-BLAS routine, so ``2 * (z @ z.T)`` would round differently. No array of a
+see ``_core_py``), built on its first evaluation and held with its float64
+buffers while the matrix lives, so one matrix must not be evaluated from
+two threads at once. The plan is the affinity's support block, the active
+rows against the columns with a nonzero cell on them: its row count is A,
+and the exponent matrix, the ratio kernel and the backward pass compute its
+cells only. Cells outside the block are never computed, so the finiteness
+check on the exponents covers the block, which is every exponent the loss
+reads. When the block is the whole matrix the exponent products stay
+``(2z) @ z.T`` and ``v @ v.T`` as without a plan (NumPy hands a product of
+an array with its own transpose to a different BLAS routine). No array of a
 report is a plan buffer: ``per_anchor``, ``grad_z`` and the kernel
 gradients are fresh on every call.
 
@@ -78,7 +81,7 @@ class LossReport:
 def _evaluate(batch, affinity, kernel_params, options, with_grad):
     options = options or GclOptions()
     plan = validate(affinity, batch)._plan
-    n_active = plan.rows.size
+    n_active = plan.shape[0]
     if n_active == 0:
         report = LossReport(loss=0.0, per_anchor=np.zeros(batch.size), active=affinity.active)
         if with_grad:
@@ -86,7 +89,7 @@ def _evaluate(batch, affinity, kernel_params, options, with_grad):
             report.grad_kernel = {}
         return report
 
-    em = kernels.exponent_matrix(batch, kernel_params, plan)
+    em = kernels.exponent_matrix(batch, kernel_params, plan)  # the plan's block
     if not np.all(np.isfinite(em.e)):
         raise FloatingPointError("non-finite exponent in similarity matrix")
     log_transform = options.ratio_transform == "negated-log-ratio"

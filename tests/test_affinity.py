@@ -239,7 +239,8 @@ class TestMemoizedChecks:
 
 
 class TestPartner:
-    """The plan's partner column: set from the entries for the NT-Xent pattern only."""
+    """The plan's partner column: set from the entries for the dense
+    patterns only, NT-Xent on the whole matrix and the episode block."""
 
     def test_type4_and_strict_semi(self):
         for m in (aff.type4_affinity(1), aff.type4_affinity(6), aff.semi_affinity(3, 4),
@@ -249,12 +250,17 @@ class TestPartner:
             assert np.array_equal(a[rows, m._plan.partner], np.ones(m.size))
             assert np.array_equal(m._plan.partner, rows ^ 1)  # the other view of the pair
 
+    def test_type3_query_x_prototype_block(self):
+        # Block column i is prototype i, query i's positive.
+        for n in (1, 4, 13):
+            assert np.array_equal(aff.type3_affinity(n)._plan.partner, np.arange(n))
+
     def test_found_from_content_not_builder(self):
         m = aff.AffinityMatrix(aff.type4_affinity(3).a.astype(float) * 0.5)
         assert np.array_equal(m._plan.partner, aff.type4_affinity(3)._plan.partner)
 
     def test_none_for_other_layouts(self):
-        for m in (aff.type1_affinity(3), aff.type2_affinity(3), aff.type3_affinity(3),
+        for m in (aff.type1_affinity(3), aff.type2_affinity(3),
                   aff.semi_affinity(2, 3, relaxed_unlabeled=True),
                   aff.AffinityMatrix(np.zeros((6, 6)))):
             assert m._plan.partner is None

@@ -227,6 +227,25 @@ class TestBackpropToSources:
         assert np.array_equal(merged.source_entry[:n0], z0.source_entry)
         assert np.array_equal(merged.source_entry[n0:], z1.source_entry + z0.size)
 
+    def test_maps_shared_per_shape_and_read_only(self, rng):
+        # A prototype batch's map depends only on (N, K'), an augmented
+        # batch's only on N': batches of one shape share the arrays.
+        ident = lambda x: x  # noqa: E731
+        pairs = [
+            [batching.build_prototype_batch(rng.normal(size=(3, 4, 2))) for _ in range(2)],
+            [batching.build_augmented_batch(rng.normal(size=(5, 2)), ident, ident, ident)
+             for _ in range(2)],
+        ]
+        for first, second in pairs:
+            for name in ("source_entry", "source_coeff"):
+                shared = getattr(first, name)
+                assert getattr(second, name) is shared
+                with pytest.raises(ValueError, match="read-only"):
+                    shared[0] = 0
+        other = batching.build_prototype_batch(rng.normal(size=(3, 3, 2)))
+        assert other.source_coeff is not pairs[0][0].source_coeff
+        assert other.source_coeff[1] == 0.5  # 1/(K'-1) for K' = 3
+
     def test_requires_sources(self):
         rep = batching.RepresentationBatch(np.zeros((2, 2)), np.zeros(2, int),
                                            np.ones(2, int), np.array([1, 2]), 1, 0)

@@ -35,7 +35,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 import spans  # noqa: E402
 import workloads  # noqa: E402
-from test_ratio_kernel import _bit_equal, reference_ratio_terms  # noqa: E402
+from test_ratio_kernel import _close, reference_ratio_terms  # noqa: E402
 
 MODES = ("supervised", "semi", "unsupervised")
 
@@ -181,8 +181,10 @@ def test_compare_backends_call_runs_the_engine_kernel():
     # run.compare_backends's exact call, which loss.ratio_terms.python_us
     # times: affine-cosine units, one per (M, layout), contiguous copies, a
     # uint8 anchor mask and six positional arguments, so the call builds a
-    # throwaway plan. It must give the bits of the direct formulation and of
-    # gcl_grad on a matrix reused through its own plan.
+    # throwaway plan and takes and returns full (M, M) matrices. It must
+    # agree with the direct formulation and with gcl_grad on a matrix reused
+    # through its own plan, within test_ratio_kernel's tolerance: the engine
+    # evaluates the support block only, with the block's own products.
     seen = set()
     for unit in workloads._engine_grid(np.random.default_rng(2), {13: 1, 50: 1}):
         key = (unit.batch.size, unit.layout)
@@ -201,9 +203,13 @@ def test_compare_backends_call_runs_the_engine_kernel():
             want = reference_ratio_terms(e, a_copy, active, 1e-12, log_transform, inv)
             for _ in range(2):  # the second evaluation reuses the plan
                 report = loss.gcl_grad(unit.batch, a, unit.kernel, options)
-            # The backward pass writes the plan's e and gram buffers, not de.
-            engine = (report.loss, report.per_anchor, a._plan.de)
+            # The backward pass writes the plan's gram buffer, not de; de is
+            # the block, zero around it in the full matrix.
+            plan, index = a._plan, np.arange(a.size)
+            de = np.zeros_like(e)
+            de[np.ix_(index[plan.rows], index[plan.cols])] = plan.de
+            engine = (report.loss, report.per_anchor, de)
             for g, w, x in zip(got, want, engine):
-                assert _bit_equal(g, w) and _bit_equal(g, x), (unit.key, log_transform)
+                assert _close(g, w) and _close(x, g), (unit.key, log_transform)
     assert {layout for _, layout in seen} == set(workloads.LAYOUTS)
     assert {m for m, _ in seen} == {26, 100}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gclkit import affinity as aff
 from gclkit import kernels
 from gclkit.loss import finite_diff_grad, max_rel_err
 
@@ -168,27 +169,92 @@ class TestBackward:
         self._check(z, p, rng.normal(size=(4, 4)), extra=("proj",))
 
 
+def _close(got, want, rtol=1e-12, floor=0.0):
+    """Equal within ``rtol`` of the largest magnitude of ``want`` (or of
+    ``floor``, if larger)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and bool(
+        np.all(np.abs(got - want) <= rtol * np.abs(want).max(initial=floor)))
+
+
+def _direct(z, params, grad_e):
+    """The whole-matrix exponent and its backward pass, one expression each:
+    (e, grad_z, grad_kernel)."""
+    grad_kernel = {}
+    if params.kind == "sq-euclid":
+        sq = np.sum(z**2, axis=1)
+        e = -(sq[:, None] + sq[None, :] - 2.0 * z @ z.T)
+        np.fill_diagonal(e, 0.0)
+        s = grad_e + grad_e.T
+        return e, -2.0 * (s.sum(axis=1)[:, None] * z - s @ z), grad_kernel
+    u = z @ params.proj if params.kind == "cosine-temp" else z
+    norms = np.linalg.norm(u, axis=1)
+    v = u / norms[:, None]
+    c = v @ v.T
+    if params.kind == "cosine-temp":
+        e, grad_c = c / params.tau, grad_e / params.tau
+    else:
+        e, grad_c = params.gamma * c + params.beta, params.gamma * grad_e
+        grad_kernel["gamma"] = float(np.sum(grad_e * c))
+        grad_kernel["beta"] = float(np.sum(grad_e))
+    grad_v = (grad_c + grad_c.T) @ v
+    grad_u = (grad_v - np.sum(grad_v * v, axis=1, keepdims=True) * v) / norms[:, None]
+    if params.kind == "cosine-temp":
+        grad_kernel["proj"] = z.T @ grad_u
+        return e, grad_u @ params.proj.T, grad_kernel
+    return e, grad_u, grad_kernel
+
+
 class TestInPlaceArithmetic:
-    """The exponent matrix and its backward pass equal the one-expression forms bit for bit."""
+    """The exponent matrix and its backward pass, on the whole matrix and on
+    each layout's support block, against the one-expression whole-matrix
+    forms: within 1e-12 of their largest magnitude, not bit for bit (the
+    backward adds G @ v and G.T @ v, and a block's product is a general
+    one, where v @ v.T is symmetric)."""
+
+    KINDS = ("sq-euclid", "affine-cosine", "cosine-temp")
+
+    def _params(self, kind, d, rng):
+        proj = rng.normal(size=(d, d)) if kind == "cosine-temp" else None
+        return kernels.KernelParams(kind, tau=0.3, gamma=7.0, beta=-3.0, proj=proj)
 
     @pytest.mark.parametrize("scale", [0.3, 30.0])
-    def test_forward_and_backward_match_direct_expressions(self, rng, scale):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_whole_matrix_without_plan(self, rng, scale, kind):
         z = rng.normal(0.0, scale, size=(9, 5))
         grad_e = rng.normal(size=(9, 9))
-        for params in (kernels.KernelParams("sq-euclid"),
-                       kernels.KernelParams("affine-cosine", gamma=7.0, beta=-3.0)):
-            em = kernels.ExponentMatrix(z, params)
-            if params.kind == "sq-euclid":
-                sq = np.sum(z**2, axis=1)
-                want = -(sq[:, None] + sq[None, :] - 2.0 * z @ z.T)
-                np.fill_diagonal(want, 0.0)
-            else:
-                want = params.gamma * em._c + params.beta
-            assert np.array_equal(em.e, want)
-            grad_z, grad_k = em.backward(grad_e)
-            if params.kind == "affine-cosine":
-                assert grad_k["gamma"] == float(np.sum(grad_e * em._c))
-                grad_c = params.gamma * grad_e
-                grad_v = (grad_c + grad_c.T) @ em._v
-                radial = np.sum(grad_v * em._v, axis=1, keepdims=True)
-                assert np.array_equal(grad_z, (grad_v - radial * em._v) / em._norms[:, None])
+        params = self._params(kind, 5, rng)
+        em = kernels.ExponentMatrix(z, params)
+        e, grad_z, grad_k = _direct(z, params, grad_e)
+        assert np.array_equal(em.e, e)  # the forward pass is unchanged without a plan
+        got_z, got_k = em.backward(grad_e)
+        assert _close(got_z, grad_z)
+        assert got_k.keys() == grad_k.keys()
+        # Sums over the cells of grad_e, held to the scale of their terms.
+        for name, g in grad_k.items():
+            assert _close(got_k[name], g, floor=np.abs(grad_e).sum()), name
+
+    @pytest.mark.parametrize("scale", [0.3, 30.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_support_block_of_every_layout(self, rng, scale, kind):
+        # With a plan, e is the block of the whole matrix, and a gradient on
+        # the block back-propagates as the whole matrix's gradient that is
+        # zero off the block.
+        n = 5
+        params = self._params(kind, 4, rng)
+        for matrix in (aff.type1_affinity(n), aff.type2_affinity(n), aff.type3_affinity(n),
+                       aff.type4_affinity(n), aff.semi_affinity(3, 2),
+                       aff.semi_affinity(3, 2, relaxed_unlabeled=True)):
+            plan = matrix._plan
+            z = rng.normal(0.0, scale, size=(matrix.size, 4))
+            cells = np.ix_(*(np.arange(matrix.size)[i] for i in (plan.rows, plan.cols)))
+            grad_e = np.zeros((matrix.size, matrix.size))
+            grad_e[cells] = rng.normal(size=plan.shape)
+            e, grad_z, grad_k = _direct(z, params, grad_e)
+            em = kernels.ExponentMatrix(z, params, plan)
+            assert em.e is plan.e and _close(em.e, e[cells])
+            got_z, got_k = em.backward(grad_e[cells].copy())
+            assert _close(got_z, grad_z)
+            assert got_k.keys() == grad_k.keys()
+            for name, g in grad_k.items():
+                assert _close(got_k[name], g, floor=np.abs(grad_e).sum()), name
