@@ -37,10 +37,10 @@ same bits.
 import numpy as np
 
 
-def _partner(block, whole):
-    """The read-only ``partner`` column of a dense block, or None.
+def _partner_cells(block, whole):
+    """The dense block's partner cells ``(arange(R), partner)``, or None.
 
-    Any block with that pattern of zero and positive cells has one: the
+    Any block with that pattern of zero and positive cells has them: the
     kernel reads no magnitudes."""
     r, c = block.shape
     # The cheapest exits first: the counts come before the positive mask,
@@ -52,28 +52,15 @@ def _partner(block, whole):
     elif np.count_nonzero(block) != r * c:
         return None
     pos = block > 0
-    # One positive per row: R in all, and one in every row (a caller's
-    # ``active`` may flag a row that has none).
-    if np.count_nonzero(pos) != r or np.count_nonzero(pos.any(axis=1)) != r:
+    if np.count_nonzero(pos) != r:
         return None
-    partner = pos.argmax(axis=1)
-    partner.flags.writeable = False
-    return partner
-
-
-def _index(mask):
-    """The positions of ``mask``, as a slice when they are evenly spaced:
-    indexing with a slice makes views, not copies (type 1 and type 3
-    take every other row and column)."""
-    idx = np.flatnonzero(mask)
-    if idx.size < 2:
-        return idx
-    start, step, stop = idx[0], idx[1] - idx[0], idx[-1] + 1
-    # Every position inside the progression, and as many as it has.
-    index = slice(start, stop, step)
-    if len(range(start, stop, step)) == idx.size == np.count_nonzero(mask[index]):
-        return index
-    return idx
+    cells = (np.arange(r), pos.argmax(axis=1))
+    # One positive per row: R in all, and each row's first is positive (a
+    # caller's ``active`` may flag a row that has none).
+    if np.count_nonzero(pos[cells]) != r:
+        return None
+    cells[1].flags.writeable = False
+    return cells
 
 
 class _LossPlan:
@@ -83,8 +70,9 @@ class _LossPlan:
     ``rows`` index the active rows and ``cols`` the columns with a nonzero
     cell on one of them, every column when every row is active (``whole``);
     ``shape`` is the block's (R, C). ``partner`` selects the kernel's dense
-    path (see the module docstring); otherwise ``off`` and ``pos`` are the
-    block's zero and positive cells.
+    path (see the module docstring), whose partner cells are
+    ``partner_cells``; otherwise ``off`` and ``pos`` are the block's zero
+    and positive cells.
 
     The buffers have the block's shape. ``e`` and ``gram`` are written with
     ``out=`` by the exponent matrix (see ``ExponentMatrix``), ``de`` by the
@@ -94,23 +82,22 @@ class _LossPlan:
     """
 
     def __init__(self, a, active):
-        m = a.shape[0]
-        self.whole = np.count_nonzero(active) == m
+        # nonzero()[0] and take(), not flatnonzero() and fancy indexing:
+        # at small M their call overhead is most of the cost.
+        self.rows = active.nonzero()[0]
+        self.whole = self.rows.size == a.shape[0]
         if self.whole:
-            self.rows = self.cols = slice(None)
-            block = a
+            self.cols, block = self.rows, a
         else:
-            self.rows = _index(active)
-            block = a[self.rows]
-            self.cols = _index(block.any(axis=0))
-            block = block[:, self.cols]
+            block = a.take(self.rows, axis=0)
+            self.cols = block.any(axis=0).nonzero()[0]
+            block = block.take(self.cols, axis=1)
         self.shape = shape = block.shape
-        self.partner = _partner(block, self.whole) if block.size else None
+        self.partner_cells = _partner_cells(block, self.whole) if block.size else None
+        self.partner = None if self.partner_cells is None else self.partner_cells[1]
         self.e, self.gram, self.de = np.empty(shape), np.empty(shape), np.empty(shape)
         self.off = self.pos = self.w = None
-        if self.partner is not None:
-            self.partner_cells = (np.arange(shape[0]), self.partner)
-        elif block.size:
+        if self.partner is None and shape[0]:
             self.off = block == 0
             self.pos = block > 0
             self.w = np.empty(shape)
@@ -149,8 +136,7 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None):
     if plan is None:
         plan = _LossPlan(a, active)
         if not plan.whole:
-            index = np.arange(a.shape[0])
-            cells = np.ix_(index[plan.rows], index[plan.cols])
+            cells = np.ix_(plan.rows, plan.cols)
             de = np.zeros(e.shape)
             loss, r, de[cells] = ratio_terms(e[cells], a, active, eps, log_transform,
                                              inv_norm, plan)

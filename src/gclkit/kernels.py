@@ -108,7 +108,16 @@ class ExponentMatrix:
             # is (2x) @ y.T: 2 * (x @ y.T) would round differently.
             # |x|^2 + |y|^2 as a copy of the column, then += the row: np.add of
             # the two broadcasts would buffer both operands in its iterator.
-            self._x, self._y = x, y = self._sides(self.z)
+            # x1 and y1 are the rows' and the columns' entries with a column
+            # of ones appended, so that the backward's two products carry the
+            # gradient's row and column sums in their last column; x and y
+            # are views of them without it.
+            m, d = self.z.shape
+            z1 = np.empty((m, d + 1))
+            z1[:, :d] = self.z
+            z1[:, d] = 1.0
+            self._x1, self._y1 = x1, y1 = self._sides(z1)
+            x, y = x1[:, :d], y1[:, :d]
             sqx, sqy = self._sides(np.sum(self.z**2, axis=1))
             self.e = np.empty((sqx.size, sqy.size)) if out.e is None else out.e
             self.e[...] = sqx[:, None]
@@ -118,11 +127,11 @@ class ExponentMatrix:
             if self._block is None:
                 np.fill_diagonal(self.e, 0.0)
         else:
-            self._u = self.z @ params.proj if kind == "cosine-temp" else self.z
-            norms = np.linalg.norm(self._u, axis=1)
+            u = self.z @ params.proj if kind == "cosine-temp" else self.z
+            norms = np.linalg.norm(u, axis=1)
             self._norms = norms
             safe = np.where(norms == 0.0, 1.0, norms)
-            self._v = self._u / safe[:, None]
+            self._v = u / safe[:, None]
             self._vx, self._vy = vx, vy = self._sides(self._v)
             self._c = np.matmul(vx, vy.T, out=out.gram)
             if kind == "cosine-temp":
@@ -136,7 +145,7 @@ class ExponentMatrix:
         if self._block is None:
             return x, x
         rows, cols = self._block
-        return x[rows], x[cols]
+        return x.take(rows, axis=0), x.take(cols, axis=0)
 
     def _combine(self, on_rows, on_cols):
         """Per-entry sum of a gradient on the block's rows and one on its columns."""
@@ -155,11 +164,17 @@ class ExponentMatrix:
         out = self._out
         grad_kernel = {}
         if kind == "sq-euclid":
-            # e_ij = -|x_i - y_j|^2, so de_ij/dx_i = -2 (x_i - y_j) = -de_ij/dy_j.
-            x, y = self._x, self._y
-            grad_x = grad_e.sum(axis=1)[:, None] * x - grad_e @ y
-            grad_y = grad_e.sum(axis=0)[:, None] * y - grad_e.T @ x
-            return -2.0 * self._combine(grad_x, grad_y), grad_kernel
+            # e_ij = -|x_i - y_j|^2, so de_ij/dx_i = -2 (x_i - y_j) = -de_ij/dy_j:
+            # grad_z = -2 (s z - p), where s and p add up, per entry, the row
+            # sums and grad_e @ y on the rows, and the column sums and
+            # grad_e.T @ x on the columns. With the ones column, each
+            # product gives p and s together.
+            d = self.z.shape[1]
+            ps = self._combine(grad_e @ self._y1, grad_e.T @ self._x1)
+            grad_z = ps[:, d:] * self.z
+            grad_z -= ps[:, :d]
+            grad_z *= -2.0
+            return grad_z, grad_kernel
 
         if kind == "cosine-temp":
             grad_c = np.divide(grad_e, self.params.tau, out=out.gram)

@@ -205,9 +205,9 @@ def test_compare_backends_call_runs_the_engine_kernel():
                 report = loss.gcl_grad(unit.batch, a, unit.kernel, options)
             # The backward pass writes the plan's gram buffer, not de; de is
             # the block, zero around it in the full matrix.
-            plan, index = a._plan, np.arange(a.size)
+            plan = a._plan
             de = np.zeros_like(e)
-            de[np.ix_(index[plan.rows], index[plan.cols])] = plan.de
+            de[np.ix_(plan.rows, plan.cols)] = plan.de
             engine = (report.loss, report.per_anchor, de)
             for g, w, x in zip(got, want, engine):
                 assert _close(g, w) and _close(x, g), (unit.key, log_transform)

@@ -10,8 +10,10 @@ The digests were recaptured, with numpy 2.4 on x86-64, when the loss began
 to evaluate only the affinity's support block: the exponent matrix, the
 ratio kernel and the backward pass run on the active rows x support columns
 (type 3's (N, N) query x prototype block), and the backward adds G @ v and
-G.T @ v instead of forming (G + G.T) @ v. That regroups row sums and
-products, so the values moved by rounding only: over these 60-step runs the
+G.T @ v instead of forming (G + G.T) @ v (for sq-euclid, the products also
+carry G's row and column sums, through a column of ones appended to z).
+That regroups row sums and products, so the values moved by rounding
+only: over these 60-step runs the
 per-step loss, mean ratio and gradient norm moved by at most 6e-15
 relative. The earlier digests dated from commit 9653e11 (38784c4 for
 ``unsupervised-sq-euclid``). A deliberate numeric change must recapture
@@ -58,8 +60,8 @@ GOLDEN = {
         "3dc9b5b8e9051e1fded823135e10b67393a42bd3b2588ee85cded0b7215371ad",
     ),
     "unsupervised-sq-euclid": (
-        "46fb6debe0b25729b73bd5b8aa6db2f86c144239679b5b570b7e12230f8b5399",
-        "153647f0d8e7425fc8f9241c73e736f0f1a28d881bbe2276af41c00792873fa9",
+        "56b754e35b5a66cab9546609912ce60b0b15503eeeca16daa3683577ea62a344",
+        "f72b387007084891656edfb63b37eb68d322f4050e18cb40c246079794103e9c",
     ),
 }
 

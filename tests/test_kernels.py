@@ -247,7 +247,7 @@ class TestInPlaceArithmetic:
                        aff.semi_affinity(3, 2, relaxed_unlabeled=True)):
             plan = matrix._plan
             z = rng.normal(0.0, scale, size=(matrix.size, 4))
-            cells = np.ix_(*(np.arange(matrix.size)[i] for i in (plan.rows, plan.cols)))
+            cells = np.ix_(plan.rows, plan.cols)
             grad_e = np.zeros((matrix.size, matrix.size))
             grad_e[cells] = rng.normal(size=plan.shape)
             e, grad_z, grad_k = _direct(z, params, grad_e)
