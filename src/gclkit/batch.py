@@ -19,14 +19,16 @@ averaged into a prototype. Together they are the sparse matrix S with
 ``z = S @ pool``, and the loss gradient on the pool is ``S.T @ grad_z``. A
 prototype batch's map depends only on (N, K') and an augmented batch's only
 on N', so every batch of one shape shares read-only arrays.
+
+A training step encodes one pool, the labeled N*K' rows and then the 2N'
+views, and builds both batches from slices of the output: the merged map
+covers the whole pool in order, for one encoder backward pass.
 """
 
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-
-from .synth import _paired_views
 
 
 class CapacityError(ValueError):
@@ -158,20 +160,16 @@ def build_prototype_batch(encoded):
     return RepresentationBatch(z, *canonical_tags(n, 0), n, 0, *_prototype_sources(n, kp))
 
 
-def build_augmented_batch(samples, t1, t2, encode):
-    """Two augmented views per unlabeled sample, encoded into slots 1 and 2.
+def build_augmented_batch(encoded):
+    """Two views per unlabeled sample, the first in slot 1 and the second in slot 2.
 
-    ``t1``/``t2`` are one transform each for the whole batch (already drawn
-    from the augmentation family, or any callable on a feature row): every
-    sample gets view ``t1(x)`` in slot 1 and ``t2(x)`` in slot 2. Their
-    random draws are consumed in per-sample order, t1 then t2 for sample 0,
-    then for sample 1, and so on. ``encode`` maps (M, F) features to (M, D)
-    embeddings.
+    ``encoded``: (2N', D) embeddings of the views ``synth.paired_views``
+    returns, view 1 then view 2 of each sample.
     """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[0]
-    views = _paired_views(samples, t1, t2).reshape(2 * n, samples.shape[1])
-    z = np.asarray(encode(views), dtype=float)
+    z = np.asarray(encoded, dtype=float)
+    if z.ndim != 2 or z.shape[0] % 2:
+        raise ValueError("expected (2N', D) with the two views of each sample in turn")
+    n = z.shape[0] // 2
     return RepresentationBatch(z, *canonical_tags(0, n), 0, n, *_augmented_sources(n))
 
 

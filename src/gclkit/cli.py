@@ -83,7 +83,8 @@ def load_checkpoint(path):
     """(encoder, kernel params, meta) of a checkpoint, written into a new encoder's views.
 
     A missing meta key or tensor, or a tensor whose shape is not the
-    encoder's, is a ValueError that names it.
+    encoder's, is a ValueError that names it; a tensor header or row that
+    cannot be read is one that names its line.
     """
     with open(path) as fh:
         header = fh.readline()
@@ -91,14 +92,23 @@ def load_checkpoint(path):
             raise ValueError(f"not a {CKPT_SCHEMA} file: {path}")
         meta = dict(kv.split("=") for kv in fh.readline().split()[1:])
         tensors = {}
-        line = fh.readline()
-        while line:
-            _, name, *shape = line.split()
-            shape = tuple(int(s) for s in shape)
-            n_rows = shape[0] if len(shape) == 2 else 1
-            rows = [[float(v) for v in fh.readline().split()] for _ in range(n_rows)]
+        lines = enumerate(fh, 3)
+        for number, line in lines:
+            head = line.split()
+            if (len(head) not in (3, 4) or head[0] != "tensor"
+                    or not all(s.isdigit() for s in head[2:])):
+                raise ValueError(f"{path}: line {number}: expected 'tensor NAME ROWS [COLS]', "
+                                 f"got {line.strip()!r}")
+            name, shape = head[1], tuple(int(s) for s in head[2:])
+            rows = []
+            for _ in range(shape[0] if len(shape) == 2 else 1):
+                number, line = next(lines, (number + 1, ""))
+                rows.append([float(v) for v in line.split()])
+                if len(rows[-1]) != shape[-1]:
+                    raise ValueError(f"{path}: line {number}: row {len(rows)} of tensor {name} "
+                                     f"needs {shape[-1]} values, got "
+                                     f"{repr(line.strip()) if line else 'the end of the file'}")
             tensors[name] = np.array(rows).reshape(shape)
-            line = fh.readline()
     missing = [k for k in ("mode", "kind", "tau", "f_in", "hidden", "d_out") if k not in meta]
     if missing:
         raise ValueError(f"{path}: meta line has no {', '.join(k + '=' for k in missing)}")
@@ -163,7 +173,7 @@ def cmd_train(cfg, seed, out, mode=None):
     val_dataset = val_trials = None
     if tc.eval_every > 0:
         val_dataset = load_dataset(out / "holdout.txt")
-        val_trials = ev.load_trials(out / "trials.txt")
+        val_trials = ev.load_trials(out / "trials.txt", len(val_dataset.labels))
 
     result = train(
         labeled_pool, tc, seed=seed, unlabeled_pool=unlabeled_pool,
@@ -181,7 +191,7 @@ def cmd_train(cfg, seed, out, mode=None):
 def cmd_eval(cfg, seed, out):
     encoder, _, meta = load_checkpoint(out / "checkpoint.txt")
     held_ds = load_dataset(out / "holdout.txt")
-    trials = ev.load_trials(out / "trials.txt")
+    trials = ev.load_trials(out / "trials.txt", len(held_ds.labels))
     emb = encoder(held_ds.features)
     scores, labels = ev.score_trials(trials, emb)
     res = ev.eer(scores, labels)

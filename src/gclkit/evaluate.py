@@ -117,6 +117,27 @@ def save_trials(path, trials):
             fh.write(f"{int(same)} {a} {b}\n")
 
 
-def load_trials(path):
-    rows = np.loadtxt(path, dtype=int, ndmin=2)
-    return TrialSet(pairs=rows[:, 1:3], labels=rows[:, 0].astype(bool))
+def load_trials(path, n_utterances):
+    """The trials of a ``save_trials`` file, by id into ``n_utterances`` utterances.
+
+    Blank lines and ``#`` comments are skipped; any other line that is not a
+    label of 0 or 1 and two ids below ``n_utterances`` is a ValueError naming it.
+    """
+    rows = []
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            fields = line.split("#", 1)[0].split()
+            if not fields:
+                continue
+            try:
+                label, a, b = map(int, fields)
+                valid = label in (0, 1) and 0 <= min(a, b) and max(a, b) < n_utterances
+            except ValueError:
+                valid = False
+            if not valid:
+                raise ValueError(f"{path}: line {number}: expected 'label idA idB', a label of "
+                                 f"0 or 1 and ids from 0 to {n_utterances - 1}, "
+                                 f"got {line.strip()!r}")
+            rows.append((a, b, label))
+    rows = np.array(rows, dtype=int).reshape(-1, 3)
+    return TrialSet(pairs=rows[:, :2], labels=rows[:, 2].astype(bool))

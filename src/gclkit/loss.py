@@ -46,7 +46,7 @@ import numpy as np
 
 from . import kernels
 from ._core_py import ratio_terms
-from .affinity import semi_affinity, validate
+from .affinity import validate
 
 TRANSFORMS = ("negated-ratio", "negated-log-ratio")
 PSI_CHOICES = ("identity", "ramp-margin", "negative-log")
@@ -112,16 +112,8 @@ def gcl_grad(batch, affinity, kernel_params, options=None):
     return _evaluate(batch, affinity, kernel_params, options, with_grad=True)
 
 
-def gcl_semi(batch, affinity=None, kernel_params=None, options=None,
-             relaxed_unlabeled=False, with_grad=False):
-    """Ratio loss on a mixed labeled/unlabeled batch.
-
-    Builds the block affinity from the batch's (N, N') if none is given.
-    Degenerates bit-for-bit to the single-group evaluation when either group
-    is empty.
-    """
-    if affinity is None:
-        affinity = semi_affinity(batch.n_labeled, batch.n_unlabeled, relaxed_unlabeled)
+def gcl_semi(batch, affinity, kernel_params, options=None, with_grad=False):
+    """gcl on a mixed labeled/unlabeled batch, or gcl_grad with ``with_grad``."""
     return _evaluate(batch, affinity, kernel_params, options, with_grad=with_grad)
 
 

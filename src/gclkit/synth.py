@@ -3,7 +3,8 @@
 Each speaker is a Gaussian cluster: a mean drawn with the between-speaker
 spread, and utterances scattered around it with the within-speaker spread.
 Augmentations act on raw feature vectors: additive noise, random gain, and
-coordinate dropout.
+coordinate dropout. ``paired_views`` returns two views of each unlabeled
+sample as feature rows, which a training step encodes with its labeled rows.
 """
 
 from dataclasses import dataclass
@@ -161,30 +162,32 @@ def draw_transform(spec, rng):
     return Transform(family, value, rng)
 
 
-def _paired_views(samples, t1, t2):
-    """(n, 2, F) views: ``t1`` and ``t2`` of every row of ``samples`` (n, F).
+def paired_views(samples, t1, t2):
+    """(2n, F) views of the n rows of ``samples``: ``t1`` then ``t2`` of row 0,
+    then of row 1, and so on.
 
-    The draws come out as if ``t1`` then ``t2`` were applied to row 0, then
-    to row 1, and so on. Where that order allows, the views are drawn with
-    one call per batch instead of one per sample.
+    The draws come out in that order too. Where that order allows, the views
+    are drawn with one call per batch instead of one per sample.
     """
+    n, f = samples.shape
     bulk = isinstance(t1, Transform) and isinstance(t2, Transform)
     if bulk and (t1.rng is not t2.rng or GAIN in (t1.family, t2.family)):
         # At most one of them draws from each generator, row after row.
-        return np.stack([t1(samples), t2(samples)], axis=1)
+        return np.stack([t1(samples), t2(samples)], axis=1).reshape(2 * n, f)
     if bulk and t1.family == t2.family:
         # Both draw from the same distribution: one draw covers both views.
-        n, f = samples.shape
         # A per-view column; a scalar when both views agree (a broadcast
         # normal() draw costs about twice a scalar one, same values).
         value = t1.value if t1.value == t2.value else np.array([[t1.value], [t2.value]])
         if t1.family == NOISE:
-            return samples[:, None] + t1.rng.normal(0.0, value, size=(n, 2, f))
-        return samples[:, None] * (t1.rng.random((n, 2, f)) >= value)
+            views = samples[:, None] + t1.rng.normal(0.0, value, size=(n, 2, f))
+        else:
+            views = samples[:, None] * (t1.rng.random((n, 2, f)) >= value)
+        return views.reshape(2 * n, f)
     # Noise with dropout interleaves two distributions sample by sample, and
     # an arbitrary callable may do anything: apply them per sample.
-    views = np.empty((samples.shape[0], 2, samples.shape[1]))
+    views = np.empty((2 * n, f))
     for i, x in enumerate(samples):
-        views[i, 0] = t1(x)
-        views[i, 1] = t2(x)
+        views[2 * i] = t1(x)
+        views[2 * i + 1] = t2(x)
     return views

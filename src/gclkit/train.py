@@ -6,6 +6,10 @@ semi-supervised batches mix both with a configurable unlabeled fraction of
 the batch slots. All three regimes minimize the same ratio loss, only the
 batch builder and affinity block layout differ.
 
+Every step encodes one feature pool (labeled rows, then augmented views) in
+one forward pass, builds its batch from slices of the output, and takes one
+backward pass on the pool gradient.
+
 Updates are plain SGD with momentum, in place, on the encoder's one parameter
 vector and on the trainable kernel parameters (gamma/beta or the projection).
 """
@@ -21,7 +25,7 @@ from . import loss as losses
 from .encoder import Encoder
 from .evaluate import eer, score_trials
 from .kernels import GAMMA_MIN, KINDS, KernelParams
-from .synth import AugmentationSpec, draw_transform
+from .synth import AugmentationSpec, draw_transform, paired_views
 
 MODES = ("supervised", "semi", "unsupervised")
 # Every random draw of a run comes from one of these streams of its seed.
@@ -133,22 +137,26 @@ def batch_composition(config):
     return n_classes, n_unlabeled
 
 
-def compose_semi_minibatch(labeled_pool, unlabeled_pool, config, rng):
-    """Draw one mini-batch: a ``LabeledMiniBatch`` and an (N', F) array of
-    unlabeled rows; either part is None when the mode leaves it empty."""
+def compose_semi_minibatch(labeled_pool, unlabeled_pool, config, rng, aug_spec, augment_rng):
+    """One step's feature pool: the N*K' rows of a two-step sample drawn from
+    ``rng``, then ``synth.paired_views`` of N' unlabeled rows under a pair of
+    transforms drawn from ``augment_rng``; a part the mode leaves empty is left out.
+    """
     n_classes, n_unlabeled = batch_composition(config)
-    lab = None
-    unl = None
+    parts = []
     if n_classes > 0:
         if labeled_pool is None or len(labeled_pool.labels) == 0:
             raise batching.CapacityError("labeled pool is empty")
         lab = batching.two_step_sample(labeled_pool, n_classes, config.k_prime, rng)
+        parts.append(lab.samples.reshape(n_classes * config.k_prime, -1))
     if n_unlabeled > 0:
         if unlabeled_pool is None or len(unlabeled_pool) == 0:
             raise batching.CapacityError("unlabeled pool is empty")
         take = rng.choice(len(unlabeled_pool), size=n_unlabeled, replace=False)
-        unl = unlabeled_pool[take]
-    return lab, unl
+        t1 = draw_transform(aug_spec, augment_rng)
+        t2 = draw_transform(aug_spec, augment_rng)
+        parts.append(paired_views(unlabeled_pool[take], t1, t2))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)  # no copy of one part
 
 
 def _make_kernel(config, rng):
@@ -159,28 +167,6 @@ def _make_kernel(config, rng):
     if config.kernel == "affine-cosine":
         return KernelParams(kind="affine-cosine", gamma=config.gamma, beta=config.beta)
     return KernelParams(kind="sq-euclid")
-
-
-def _labeled_branch(encoder, minibatch):
-    n, kp, f = minibatch.samples.shape
-    flat = minibatch.samples.reshape(n * kp, f)
-    z, cache = encoder.forward(flat)
-    rep = batching.build_prototype_batch(z.reshape(n, kp, -1))
-    return rep, cache
-
-
-def _unlabeled_branch(encoder, samples, aug_spec, rng):
-    caches = []
-
-    def encode(x):
-        z, cache = encoder.forward(x)
-        caches.append(cache)
-        return z
-
-    t1 = draw_transform(aug_spec, rng)
-    t2 = draw_transform(aug_spec, rng)
-    rep = batching.build_augmented_batch(samples, t1, t2, encode)
-    return rep, caches[0]
 
 
 def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
@@ -212,18 +198,17 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
     else:
         matrix = aff.semi_affinity(n_classes, n_unlabeled, config.relaxed_unlabeled)
 
+    split = n_classes * config.k_prime  # the pool's labeled rows come first
     for step in range(config.steps):
-        lab_mb, unl_mb = compose_semi_minibatch(dataset, unlabeled_pool, config, data_rng)
-
-        rep0 = cache0 = rep1 = cache1 = None
-        if lab_mb is not None:
-            rep0, cache0 = _labeled_branch(encoder, lab_mb)
-        if unl_mb is not None:
-            rep1, cache1 = _unlabeled_branch(encoder, unl_mb, aug_spec, augment_rng)
-        if rep0 is not None and rep1 is not None:
-            rep = batching.merge_semi_batch(rep0, rep1)
-        else:
-            rep = rep0 if rep0 is not None else rep1
+        pool = compose_semi_minibatch(dataset, unlabeled_pool, config, data_rng,
+                                      aug_spec, augment_rng)
+        z, cache = encoder.forward(pool)
+        rep = None
+        if n_classes:
+            rep = batching.build_prototype_batch(z[:split].reshape(n_classes, config.k_prime, -1))
+        if n_unlabeled:
+            views = batching.build_augmented_batch(z[split:])
+            rep = views if rep is None else batching.merge_semi_batch(rep, views)
         # The same loss in every regime; only the batch and its affinity differ.
         report = losses.gcl_grad(rep, matrix, kernel_params, options)
 
@@ -234,15 +219,8 @@ def train(dataset, config, seed=0, unlabeled_pool=None, aug_spec=None,
         if not np.isfinite(report.loss + grad_norm + sum(report.grad_kernel.values())).all():
             raise FloatingPointError(_divergence(step, report, grad_norm))
 
-        # Push entry gradients back through prototypes/views onto the encodings.
-        grad_src = batching.backprop_to_sources(rep, report.grad_z)
-        if cache0 is None:
-            grad = encoder.backward(cache1, grad_src)
-        else:
-            split = len(rep0.source_entry)
-            grad = encoder.backward(cache0, grad_src[:split])
-            if cache1 is not None:
-                grad += encoder.backward(cache1, grad_src[split:])
+        # Push entry gradients back through prototypes and views onto the pool.
+        grad = encoder.backward(cache, batching.backprop_to_sources(rep, report.grad_z))
         opt.update(encoder, grad, kernel_params, report.grad_kernel)
         kernel_params.gamma = max(kernel_params.gamma, GAMMA_MIN)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gclkit import batch as batching
+from gclkit import synth
 
 
 @pytest.fixture
@@ -22,4 +23,4 @@ def random_augmented_batch(rng, n=None, d=None):
     d = d or int(rng.integers(2, 17))
     samples = rng.normal(size=(n, d))
     noise = lambda x: x + rng.normal(0.0, 0.1, size=x.shape)
-    return batching.build_augmented_batch(samples, noise, noise, lambda x: x)
+    return batching.build_augmented_batch(synth.paired_views(samples, noise, noise))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gclkit import batch as batching
+from gclkit import synth
 from gclkit.synth import LabeledDataset
 
 from conftest import random_augmented_batch, random_prototype_batch
@@ -82,14 +83,19 @@ class TestPrototypeBatch:
 class TestAugmentedBatch:
     def test_identity_transforms_equal_views(self):
         samples = np.random.default_rng(0).normal(size=(3, 4))
-        rep = batching.build_augmented_batch(samples, lambda x: x, lambda x: x, lambda x: x)
-        assert np.array_equal(rep.z[0::2], rep.z[1::2])
+        views = synth.paired_views(samples, lambda x: x, lambda x: x)
+        rep = batching.build_augmented_batch(views)
+        assert np.array_equal(rep.z[0::2], samples) and np.array_equal(rep.z[1::2], samples)
         assert rep.n_labeled == 0 and rep.n_unlabeled == 3
 
     def test_cardinality(self):
-        rep = batching.build_augmented_batch(np.zeros((2, 3)), lambda x: x, lambda x: x + 1,
-                                             lambda x: x)
-        assert rep.size == 4
+        rep = batching.build_augmented_batch(np.zeros((4, 3)))
+        assert rep.size == 4 and rep.n_unlabeled == 2
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4,), (2, 2, 2)])
+    def test_rejects_anything_but_view_pairs(self, shape):
+        with pytest.raises(ValueError, match="expected"):
+            batching.build_augmented_batch(np.zeros(shape))
 
     def test_deterministic_under_seed(self):
         samples = np.random.default_rng(0).normal(size=(4, 3))
@@ -97,7 +103,7 @@ class TestAugmentedBatch:
         def build(seed):
             rng = np.random.default_rng(seed)
             noise = lambda x: x + rng.normal(size=x.shape)
-            return batching.build_augmented_batch(samples, noise, noise, lambda x: x)
+            return batching.build_augmented_batch(synth.paired_views(samples, noise, noise))
 
         assert np.array_equal(build(7).z, build(7).z)
 
@@ -193,8 +199,7 @@ class TestCanonicalTags:
 
     def test_builders_share_the_canonical_arrays(self, rng):
         proto = batching.build_prototype_batch(rng.normal(size=(3, 2, 4)))
-        aug = batching.build_augmented_batch(rng.normal(size=(2, 4)), lambda x: x, lambda x: x,
-                                             lambda x: x)
+        aug = batching.build_augmented_batch(rng.normal(size=(4, 4)))
         merged = batching.merge_semi_batch(proto, aug)
         for rep, shape in ((proto, (3, 0)), (aug, (0, 2)), (merged, (3, 2))):
             for got, want in zip((rep.groups, rep.indices, rep.slots),
@@ -230,11 +235,9 @@ class TestBackpropToSources:
     def test_maps_shared_per_shape_and_read_only(self, rng):
         # A prototype batch's map depends only on (N, K'), an augmented
         # batch's only on N': batches of one shape share the arrays.
-        ident = lambda x: x  # noqa: E731
         pairs = [
             [batching.build_prototype_batch(rng.normal(size=(3, 4, 2))) for _ in range(2)],
-            [batching.build_augmented_batch(rng.normal(size=(5, 2)), ident, ident, ident)
-             for _ in range(2)],
+            [batching.build_augmented_batch(rng.normal(size=(10, 2))) for _ in range(2)],
         ]
         for first, second in pairs:
             for name in ("source_entry", "source_coeff"):
@@ -270,14 +273,13 @@ class TestSourceMapAdjoint:
         self.assert_adjoint(rng, rep, enc.reshape(4 * kp, 3))
 
     def test_augmented(self, rng):
-        samples = rng.normal(size=(4, 3))
-        rep = batching.build_augmented_batch(samples, lambda x: x, lambda x: x, lambda x: x)
-        self.assert_adjoint(rng, rep, np.repeat(samples, 2, axis=0))
+        views = rng.normal(size=(8, 3))
+        self.assert_adjoint(rng, batching.build_augmented_batch(views), views)
 
     def test_merged(self, rng):
         enc = rng.normal(size=(3, 3, 4))
-        samples = rng.normal(size=(2, 4))
+        views = rng.normal(size=(4, 4))
         z0 = batching.build_prototype_batch(enc)
-        z1 = batching.build_augmented_batch(samples, lambda x: x, lambda x: x, lambda x: x)
-        pool = np.vstack([enc.reshape(9, 4), np.repeat(samples, 2, axis=0)])
+        z1 = batching.build_augmented_batch(views)
+        pool = np.vstack([enc.reshape(9, 4), views])
         self.assert_adjoint(rng, batching.merge_semi_batch(z0, z1), pool)

@@ -39,6 +39,24 @@ from test_ratio_kernel import _close, reference_ratio_terms  # noqa: E402
 
 MODES = ("supervised", "semi", "unsupervised")
 
+# The run.LAYER_SPANS names that _run's train() reaches, by mode; the other
+# names are reached only by the benchmark's engine calls.
+_EVERY_MODE = {
+    "train.compose_semi_minibatch", "encoder.Encoder.forward", "encoder.Encoder.backward",
+    "batch.backprop_to_sources", "affinity.validate", "kernels.exponent_matrix",
+    "kernels.ExponentMatrix.backward", "loss.ratio_terms", "loss.gcl_grad",
+    "train.SgdMomentum.update", "train.loop", "evaluate.score_trials", "evaluate.eer",
+}
+_LABELED = {"batch.two_step_sample", "batch.build_prototype_batch"}
+_UNLABELED = {"synth.draw_transform", "batch.build_augmented_batch", "affinity.semi_affinity"}
+TRAINING_SPANS = {
+    "supervised": _EVERY_MODE | _LABELED | {"affinity.type3_affinity"},
+    "semi": _EVERY_MODE | _LABELED | _UNLABELED | {"batch.merge_semi_batch"},
+    "unsupervised": _EVERY_MODE | _UNLABELED,
+}
+ENGINE_SPANS = {"affinity.type1_affinity", "affinity.type2_affinity",
+                "affinity.type4_affinity", "loss.gcl", "loss.gcl_semi"}
+
 
 def test_names_the_benchmark_imports():
     assert gclkit.BACKEND_NAME == "python"
@@ -65,6 +83,7 @@ def _layer_spans():
 def test_layer_spans_name_gclkit_functions():
     names = _layer_spans()
     assert "train.loop" in names
+    assert set(names) == set().union(ENGINE_SPANS, *TRAINING_SPANS.values())
     defined_as = {span: name for name, span in spans.RENAMES.items()}
     for span in names:
         module, *path = defined_as.get(span, span).split(".")
@@ -115,12 +134,10 @@ def test_traced_training_matches_and_uninstalls(mode):
         tracer.uninstall()
 
     assert got == want
-    recorded = tracer.by_span()
-    for name in ("loss.ratio_terms", "kernels.exponent_matrix",
-                 "kernels.ExponentMatrix.backward", "evaluate.eer", "train.loop"):
-        assert recorded[name][1] > 0, name
-    if mode != "supervised":
-        assert recorded["synth.draw_transform"][1] > 0
+    # Every per-layer metric of a training step is recorded in the modes
+    # that reach it, so a refactor cannot quietly turn one into zero.
+    recorded = {name for name, (_, calls) in tracer.by_span().items() if calls > 0}
+    assert recorded & set(_layer_spans()) == TRAINING_SPANS[mode]
     assert loss.ratio_terms is _core_py.ratio_terms
     assert training.draw_transform is synth.draw_transform
     assert training.eer is evaluation.eer

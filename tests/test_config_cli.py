@@ -109,6 +109,8 @@ MALFORMED_CHECKPOINTS = [
     ("no tensor b1", "no tensor b1"),
     ("no hidden=", "meta line has no hidden="),
     ("W1 too wide", r"tensor W1 has shape \(\d+, 3\), the encoder's is \(\d+, 5\)"),
+    ("W1 truncated", r"\.txt: line 6: row 3 of tensor W1 needs 3 values, got the end of the file"),
+    ("blank line", r"\.txt: line \d+: expected 'tensor NAME ROWS \[COLS\]', got ''"),
 ]
 
 
@@ -121,6 +123,11 @@ def malform(path, case):
         del lines[at:at + 2]
     elif case == "no hidden=":
         lines[meta] = lines[meta].replace(" hidden=3", "")
+    elif case == "W1 truncated":  # the file ends after the header and two rows of W1
+        at = next(i for i, line in enumerate(lines) if line.startswith("tensor W1 "))
+        del lines[at + 3:]
+    elif case == "blank line":
+        lines.insert(lines.index("tensor b1 3\n"), "\n")
     else:  # the encoder has 5 hidden units, the tensors 3
         lines[meta] = lines[meta].replace(" hidden=3", " hidden=5")
     path.write_text("".join(lines))
@@ -307,6 +314,27 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and re.search(message, err)
         assert not (out / "eer.txt").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("line", ["1 0 24", "0 -1 5", "7 0 5", "1 0", "1 0 2.5"])
+    def test_trial_file_errors_name_the_line(self, tmp_path, capsys, command, line):
+        # The held-out set has 4 speakers x 6 utterances. Id 24 used to end
+        # in an IndexError traceback, id -1 to score the last utterance and a
+        # label of 7 to count as a target.
+        cfg = write_config(tmp_path, SMALL_CFG + "train.eval_every = 4\n")
+        out = tmp_path / "run"
+        base = ["--config", str(cfg), "--out", str(out)]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["train"] + base) == 0
+        trials = out / "trials.txt"
+        lines = trials.read_text().splitlines(keepends=True)
+        lines[2] = line + "\n"
+        trials.write_text("".join(lines))
+        capsys.readouterr()
+        assert cli.main([command] + base) == 2
+        assert capsys.readouterr().err == (
+            f"error: {trials}: line 3: expected 'label idA idB', a label of 0 or 1 and ids "
+            f"from 0 to 23, got {line!r}\n")
 
     def test_train_steps_zero_checkpoint_equals_init(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CFG + "train.steps = 0\n")

@@ -169,6 +169,6 @@ class TestScoreTrialsAndSerialization:
     def test_trials_round_trip(self, tmp_path):
         trials = ev.build_trials(toy_split(), 12, np.random.default_rng(2))
         ev.save_trials(tmp_path / "t.txt", trials)
-        back = ev.load_trials(tmp_path / "t.txt")
+        back = ev.load_trials(tmp_path / "t.txt", len(toy_split().labels))
         assert np.array_equal(back.pairs, trials.pairs)
         assert np.array_equal(back.labels, trials.labels)

@@ -16,8 +16,20 @@ That regroups row sums and products, so the values moved by rounding
 only: over these 60-step runs the
 per-step loss, mean ratio and gradient norm moved by at most 6e-15
 relative. The earlier digests dated from commit 9653e11 (38784c4 for
-``unsupervised-sq-euclid``). A deliberate numeric change must recapture
-them and say why.
+``unsupervised-sq-euclid``).
+
+``semi`` and ``semi-relaxed-cosine`` were recaptured once more when a
+semi-supervised step began to encode its labeled rows and its augmented
+views as one pool, with one encoder forward and one backward pass, instead
+of one pass per group. The encoder's weight gradient is then one product
+over the whole pool (``h.T @ G``), whose sums group the rows differently
+from two products added together, so the semi values moved by rounding
+only: over these 60-step runs the per-step loss and mean ratio moved by at
+most 3.9e-16 relative and the gradient norm by at most 2.0e-15 (over 600
+steps, 5.2e-16 and 5.7e-15), and the held-out EER did not move. The four
+supervised and unsupervised digests were not recaptured: those steps encode
+the same rows as before and stay bit-identical. A deliberate numeric change
+must recapture the digests it moves and say why.
 """
 
 import hashlib
@@ -52,12 +64,12 @@ GOLDEN = {
         "df7c7f4fa77466276d8cd6656915d1ec6798ae1ad960fe580b5e932b09916cd1",
     ),
     "semi": (
-        "76454d372850408c2037e5107cff1cc06cbe3df26ea3c8bc599f2bbd71cadec5",
-        "6c46cfe4ff25027834fc69611e76e5b31b70dd17aeb26fd1947c77f2fd15de0e",
+        "b8f54acd5520986cd9565d2935b202bd89a5795082f9f6a72d8da2c0a6d1bf4a",
+        "e3843ca332c01a40b70da651cd8089821a0c9455e5491ea30722a0805181198f",
     ),
     "semi-relaxed-cosine": (
-        "b7a46aa476d7ff04dbc2decce39439be8d37842130460be838f5f3398db14a20",
-        "3dc9b5b8e9051e1fded823135e10b67393a42bd3b2588ee85cded0b7215371ad",
+        "782753b508a163f792cb747f7c63cd79247a6815ff9a50e8739ceb246a506669",
+        "ed77866475fcd083ab82c50cd6693ff99ae39580d6229c17e62f345274624c30",
     ),
     "unsupervised-sq-euclid": (
         "56b754e35b5a66cab9546609912ce60b0b15503eeeca16daa3683577ea62a344",

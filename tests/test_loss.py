@@ -6,6 +6,7 @@ import pytest
 from gclkit import affinity as aff
 from gclkit import batch as batching
 from gclkit import loss as losses
+from gclkit import synth
 from gclkit._core_py import ratio_terms
 from gclkit.kernels import KernelParams
 
@@ -38,7 +39,7 @@ class TestOracles:
 
     def test_ntxent_all_equal(self):
         samples = np.ones((2, 3))
-        rep = batching.build_augmented_batch(samples, lambda x: x, lambda x: x, lambda x: x)
+        rep = batching.build_augmented_batch(synth.paired_views(samples, lambda x: x, lambda x: x))
         params = KernelParams("cosine-temp", tau=0.5, proj=np.eye(3))
         # every pair has cosine 1, so each anchor's ratio is 1/3
         assert losses.oracle_ntxent(rep, params) == pytest.approx(-1.0 / 3.0)
@@ -153,21 +154,21 @@ class TestSemi:
     def test_labeled_only_reduces_bitwise(self, rng):
         rep = random_prototype_batch(rng)
         params = KernelParams("affine-cosine", gamma=5.0, beta=-2.0)
-        a = losses.gcl_semi(rep, kernel_params=params).loss
+        a = losses.gcl_semi(rep, aff.semi_affinity(rep.n_labeled, 0), params).loss
         b = losses.gcl(rep, aff.type4_affinity(rep.n_labeled), params).loss
         assert a == b
 
     def test_unlabeled_only_matches_ntxent_oracle(self, rng):
         rep = random_augmented_batch(rng, n=3, d=4)
         params = KernelParams("cosine-temp", tau=0.5, proj=rng.normal(size=(4, 4)))
-        got = losses.gcl_semi(rep, kernel_params=params).loss
+        got = losses.gcl_semi(rep, aff.semi_affinity(0, rep.n_unlabeled), params).loss
         assert got == pytest.approx(losses.oracle_ntxent(rep, params), abs=1e-10)
 
     def test_hand_mixed_batch_against_brute_force(self, rng):
         # N=1 labeled + N'=1 unlabeled in 2-D: sum the 4x4 ratio by hand
         lab = proto_batch_from_z([[1.0, 0.0]], [[0.5, 0.5]])
-        unl = batching.build_augmented_batch(np.array([[0.0, 1.0]]),
-                                             lambda x: x, lambda x: x + 0.25, lambda x: x)
+        unl = batching.build_augmented_batch(
+            synth.paired_views(np.array([[0.0, 1.0]]), lambda x: x, lambda x: x + 0.25))
         merged = batching.merge_semi_batch(lab, unl)
         params = KernelParams("affine-cosine", gamma=2.0, beta=-1.0)
         eps = 1e-12
@@ -189,7 +190,7 @@ class TestSemi:
                 den += s
             total += num / (den + eps)
         want = -total / 4.0
-        got = losses.gcl_semi(merged, kernel_params=params).loss
+        got = losses.gcl_semi(merged, aff.semi_affinity(1, 1), params).loss
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_relaxed_variant_differs(self, rng):
@@ -197,8 +198,8 @@ class TestSemi:
         unl = random_augmented_batch(rng, n=3, d=3)
         merged = batching.merge_semi_batch(lab, unl)
         params = KernelParams("affine-cosine", gamma=3.0, beta=0.0)
-        strict = losses.gcl_semi(merged, kernel_params=params).loss
-        relaxed = losses.gcl_semi(merged, kernel_params=params, relaxed_unlabeled=True).loss
+        strict = losses.gcl_semi(merged, aff.semi_affinity(2, 3), params).loss
+        relaxed = losses.gcl_semi(merged, aff.semi_affinity(2, 3, True), params).loss
         assert strict != relaxed
 
 

@@ -199,7 +199,7 @@ class TestViews:
             want = reference_views(samples, *(reference_draw_transform(s, ra) for s in specs))
             t1, t2 = (synth.draw_transform(s, rb) for s in specs)
             seen.add((FAMILIES[t1.family], FAMILIES[t2.family]))
-            got = batching.build_augmented_batch(samples, t1, t2, lambda x: x).z
+            got = synth.paired_views(samples, t1, t2)
             assert np.array_equal(got, want)
             assert_same_state(ra, rb)
         assert len(seen) == 9
@@ -217,7 +217,7 @@ class TestViews:
         want = reference_views(samples, reference_closure(f1, v1, ra1),
                                reference_closure(f2, v2, ra2))
         t1, t2 = synth.Transform(f1, v1, rb1), synth.Transform(f2, v2, rb2)
-        got = batching.build_augmented_batch(samples, t1, t2, lambda x: x).z
+        got = synth.paired_views(samples, t1, t2)
         assert np.array_equal(got, want)
         assert_same_state(ra1, rb1)
         assert_same_state(ra2, rb2)
@@ -230,7 +230,7 @@ class TestViews:
             return (lambda x: x + rng.normal(size=x.shape), lambda x: x[::-1] * rng.random())
 
         want = reference_views(samples, *callables(ra))
-        got = batching.build_augmented_batch(samples, *callables(rb), lambda x: x).z
+        got = synth.paired_views(samples, *callables(rb))
         assert np.array_equal(got, want)
         assert_same_state(ra, rb)
 

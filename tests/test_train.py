@@ -190,13 +190,26 @@ class TestTraining:
 
         monkeypatch.setattr(aff, "type3_affinity", counting(aff.type3_affinity))
         monkeypatch.setattr(aff, "semi_affinity", counting(aff.semi_affinity))
-        monkeypatch.setattr(losses, "semi_affinity", counting(losses.semi_affinity))
         ds = small_dataset()
         cfg = small_config(mode=mode, steps=4, unlabeled_fraction=0.5)
         result = training.train(ds, cfg, seed=3, unlabeled_pool=ds.features)
         assert len(result.metrics) == 4
         n, n_unlabeled = training.batch_composition(cfg)
         assert calls == [(n,) if mode == "supervised" else (n, n_unlabeled, False)]
+
+    @pytest.mark.parametrize("mode", training.MODES)
+    def test_one_encoder_pass_per_step(self, monkeypatch, mode):
+        # A semi step encodes its labeled rows and its views as one pool.
+        calls = {"forward": 0, "backward": 0}
+        for name in calls:
+            def counted(self, *args, _real=getattr(Encoder, name), _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+            monkeypatch.setattr(Encoder, name, counted)
+        ds = small_dataset()
+        cfg = small_config(mode=mode, steps=4, unlabeled_fraction=0.5)
+        training.train(ds, cfg, seed=3, unlabeled_pool=ds.features)
+        assert calls == {"forward": 4, "backward": 4}
 
     def test_gamma_stays_clamped(self):
         # Each class is {x, -x}; the encoder is odd at init (tanh, zero
@@ -241,29 +254,52 @@ class TestSgdMomentum:
 
 
 class TestEndToEndGradient:
-    def test_loss_through_encoder_matches_finite_differences(self):
-        rng = np.random.default_rng(11)
-        encoder = Encoder(6, 5, 4, rng)
-        samples = rng.normal(size=(3, 2, 6))
-        m = aff.type3_affinity(3)
+    """The loss through the batch builders and the encoder against central
+    differences over the encoder's parameter vector."""
+
+    def assert_matches_finite_differences(self, encoder, pool, build, m):
         params = KernelParams("affine-cosine", gamma=2.0, beta=-1.0)
         options = losses.GclOptions(epsilon=1e-16)
 
         def loss_at(flat):
             encoder.flat[:] = flat
-            z, _ = encoder.forward(samples.reshape(6, 6))
-            rep = batching.build_prototype_batch(z.reshape(3, 2, -1))
-            return losses.gcl(rep, m, params, options).loss
+            return losses.gcl(build(encoder(pool)), m, params, options).loss
 
         x0 = encoder.flat.copy()
-        z, cache = encoder.forward(samples.reshape(6, 6))
-        rep = batching.build_prototype_batch(z.reshape(3, 2, -1))
+        z, cache = encoder.forward(pool)
+        rep = build(z)
         report = losses.gcl_grad(rep, m, params, options)
         grad_src = batching.backprop_to_sources(rep, report.grad_z)
         analytic = encoder.backward(cache, grad_src)
         err = losses.finite_diff_check(loss_at, analytic, x0)
         encoder.flat[:] = x0
         assert err < 1e-4
+
+    def test_loss_through_encoder_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        encoder = Encoder(6, 5, 4, rng)
+        samples = rng.normal(size=(3, 2, 6))
+        self.assert_matches_finite_differences(
+            encoder, samples.reshape(6, 6),
+            lambda z: batching.build_prototype_batch(z.reshape(3, 2, -1)),
+            aff.type3_affinity(3))
+
+    def test_mixed_pool_matches_finite_differences(self):
+        # A semi step's pool: N*K' labeled rows, then two views of each of the
+        # N' unlabeled samples, encoded together and split into two batches.
+        rng = np.random.default_rng(12)
+        encoder = Encoder(6, 5, 4, rng)
+        n, kp, n_unlabeled = 3, 3, 2
+        views = synth.paired_views(rng.normal(size=(n_unlabeled, 6)),
+                                   lambda x: x + 0.3, lambda x: 0.8 * x)
+        pool = np.concatenate([rng.normal(size=(n * kp, 6)), views])
+
+        def build(z):
+            labeled = batching.build_prototype_batch(z[:n * kp].reshape(n, kp, -1))
+            return batching.merge_semi_batch(labeled, batching.build_augmented_batch(z[n * kp:]))
+
+        self.assert_matches_finite_differences(encoder, pool, build,
+                                               aff.semi_affinity(n, n_unlabeled))
 
 
 class TestEncoder:
