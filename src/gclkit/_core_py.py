@@ -2,36 +2,42 @@
 
 A loss reads only the affinity's support block: the active rows R (the
 anchors, rows with a positive cell) against the support columns C (the
-columns with a nonzero cell on an active row). Every evaluation runs on a
-``_LossPlan`` that describes that block, and the exponent matrix, this
-kernel and the backward pass compute its (R, C) cells only. With every row
-active the block is the whole (M, M) matrix (type 2, type 4, semi); type 3,
-the episode layout, is its (N, N) query x prototype block, and type 1 its
-(N, N) block of query rows against their partners. An ``AffinityMatrix``
-builds its plan on its first evaluation and holds it, with float64 buffers
-of the block's shape, while it lives; a call without a plan builds a
-throwaway one, reads the block out of a full (M, M) exponent matrix and
-returns a full (M, M) gradient, zero off the block.
+columns with a nonzero cell on an active row): the whole (M, M) matrix when
+every row is active (type 2, type 4, semi), the (N, N) query x prototype
+block for type 3 and the query rows against their partners for type 1. An
+``AffinityMatrix`` builds its ``_LossPlan`` on its first evaluation and
+holds it, with its float64 buffer, while it lives; a call without a plan
+builds a throwaway one.
 
-The kernel has two paths, both on the block. The dense path is taken when
-the plan's ``partner`` field is set: every block cell is in the support
-except the self cells (row index == column index), and each row has exactly
-one positive, at block column ``partner[i]``. That is NT-Xent (type 4 and
-strict semi: the whole matrix, with the diagonal as self cells) and type 3
-(no self cells). There ``w`` is built without masks, and the numerator is
-``w[i, partner[i]]``. Off the partner cell the gradient's first term is
-``0 * den``, which the path keeps: it is NaN where ``den`` is inf, so a
-diverged row stays loud. The partner cells are then overwritten in O(R).
-Every other layout takes the masked path, where ``np.exp`` never sees -inf:
+The kernel takes the block as ``p``, the exponents less their per-row
+constant ``rho`` (see ``ExponentMatrix``), and works in the plan's buffer in
+place: the row max ``m`` over the support, the shift, ``exp``, the row sums.
+``rho`` cancels in each ratio except through the guard: ``den_i = num_i +
+rest_i``, ``num`` the positive cells' sum and ``rest_i`` the negative cells'
+sum plus ``eps * exp(-(m_i + rho_i))``. No gradient on the block is formed:
+with W+ the positive cells and W the negative ones it is
+``G = diag(kappa) W + diag(alpha) W+``, and the kernel returns the per-row
+coefficients and leaves W and W+ in the buffer. A positive cell's term
+carries ``rest`` and a negative cell's ``num``, each summed on its own, so
+no cell is a difference of two large terms: a row whose ratio is near 1
+keeps its digits. ``kappa`` holds a ``0 * den`` term, NaN where ``den`` is
+inf, so a diverged row's gradient stays NaN: loud.
+
+The dense path is taken when the plan's ``partner`` is set: every block
+cell is in the support except the self cells (row index == column index),
+and each row has exactly one positive, at block column ``partner[i]``. That
+is NT-Xent (type 4 and strict semi: the whole matrix, with the diagonal as
+self cells) and type 3 (no self cells). There W is built without masks, and
+its partner cells end up holding ``-rest``, so that ``G = diag(kappa) W``
+(``kappa * -rest`` is ``alpha * num``). Every other layout takes the masked
+path, with W+ a second block below W, where ``np.exp`` never sees -inf:
 off-support cells are set to 0 before the exponential and zeroed after it,
 because NumPy's exp leaves its vectorized path on -inf and runs several
 times slower there.
 
 The values agree with the direct whole-matrix formula to rounding, not bit
-for bit: a row sum over the block groups its terms differently from one
-over M cells with zeros interleaved. The affinity may be int8 (the built-in
-layouts) or float: the kernel only compares it with 0, so both give the
-same bits.
+for bit. The affinity may be int8 (the built-in layouts) or float: the
+kernel only compares it with 0, so both give the same bits.
 """
 
 import numpy as np
@@ -71,14 +77,12 @@ class _LossPlan:
     cell on one of them, every column when every row is active (``whole``);
     ``shape`` is the block's (R, C). ``partner`` selects the kernel's dense
     path (see the module docstring), whose partner cells are
-    ``partner_cells``; otherwise ``off`` and ``pos`` are the block's zero
-    and positive cells.
+    ``partner_cells``; otherwise ``off``, ``pos`` and ``nonneg`` mask the
+    block's zero, positive and non-negative cells.
 
-    The buffers have the block's shape. ``e`` and ``gram`` are written with
-    ``out=`` by the exponent matrix (see ``ExponentMatrix``), ``de`` by the
-    ratio kernel, which returns it as the gradient, and the masked path
-    works in ``w`` as well. A buffer is reused once its last reader is done,
-    which keeps a step's working set small.
+    ``buf`` is the one float64 buffer: ``w``, of the block's shape, which the
+    exponent matrix writes its product into and the kernel turns into W, and
+    on the masked path ``wpos`` below it, for W+.
     """
 
     def __init__(self, a, active):
@@ -92,19 +96,19 @@ class _LossPlan:
             block = a.take(self.rows, axis=0)
             self.cols = block.any(axis=0).nonzero()[0]
             block = block.take(self.cols, axis=1)
-        self.shape = shape = block.shape
+        self.shape = (r, c) = block.shape
         self.partner_cells = _partner_cells(block, self.whole) if block.size else None
         self.partner = None if self.partner_cells is None else self.partner_cells[1]
-        self.e, self.gram, self.de = np.empty(shape), np.empty(shape), np.empty(shape)
-        self.off = self.pos = self.w = None
-        if self.partner is None and shape[0]:
-            self.off = block == 0
-            self.pos = block > 0
-            self.w = np.empty(shape)
+        masked = self.partner is None and r
+        self.buf = np.empty((2 * r if masked else r, c))
+        self.w, self.wpos = self.buf[:r], self.buf[r:] if masked else None
+        self.off = self.pos = self.nonneg = None
+        if masked:
+            self.off, self.pos, self.nonneg = block == 0, block > 0, block >= 0
 
 
-def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None):
-    """Per-anchor contrastive ratios, the scalar loss, and d(loss)/d(e).
+def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None, rho=0.0):
+    """Per-anchor contrastive ratios, the scalar loss, and its gradient.
 
     For each active anchor row ``i``:
 
@@ -115,7 +119,7 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None):
 
     Parameters
     ----------
-    e : float64 exponent matrix (similarities are exp(e)): the (R, C)
+    e : float64 exponents (similarities are exp(e + rho)): the (R, C)
         support block of ``plan``, or the full (M, M) matrix without one.
     a : (M, M) int8 or float64 affinity matrix.
     active : (M,) bool, anchors with nonempty positive support.
@@ -123,50 +127,52 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None):
     log_transform : apply log to each ratio before averaging.
     inv_norm : 1 / normalization count.
     plan : the ``_LossPlan`` of ``a`` and ``active``, such as an affinity
-        matrix's (``AffinityMatrix._plan``); the kernel then reads the
-        block, ``partner`` and masks from it, and the returned ``de`` is its
-        (R, C) buffer, valid until the plan's next evaluation. Without one,
-        a throwaway plan is built, and every returned array is fresh.
+        matrix's (``AffinityMatrix._plan``). ``e`` is copied into ``plan.w``
+        unless it is that buffer, and W and W+ are left in the plan. Without
+        one, a throwaway plan is built and every returned array is fresh.
+    rho : the per-row constant of the block's rows, or a scalar.
 
     Returns
     -------
-    (loss, r, de) where r is (M,) with zeros on inactive rows and de is the
-    gradient of the loss w.r.t. ``e``, of ``e``'s shape.
+    (loss, r, grad), r (M,) with zeros on inactive rows. With a plan, grad
+    is ``(kappa, alpha, grad_rho)`` on the block's rows (see the module
+    docstring), ``grad_rho`` being G's row sums. Without one, grad is G, of
+    ``e``'s shape, zero off the block.
     """
     if plan is None:
         plan = _LossPlan(a, active)
+        cells = np.ix_(plan.rows, plan.cols)
+        loss, r, (kappa, alpha, _) = ratio_terms(e if plan.whole else e[cells], a, active,
+                                                 eps, log_transform, inv_norm, plan)
+        g = np.multiply(kappa[:, None], plan.w, out=plan.w)  # the plan is throwaway
+        if plan.wpos is not None:
+            g += alpha[:, None] * plan.wpos
         if not plan.whole:
-            cells = np.ix_(plan.rows, plan.cols)
-            de = np.zeros(e.shape)
-            loss, r, de[cells] = ratio_terms(e[cells], a, active, eps, log_transform,
-                                             inv_norm, plan)
-            return loss, r, de
+            block, g = g, np.zeros(e.shape)
+            g[cells] = block
+        return loss, r, g
     r = np.zeros(a.shape[0])
-    partner = plan.partner
+    partner, w, wpos = plan.partner, plan.w, plan.wpos
     if not plan.shape[0]:
-        return 0.0, r, plan.de
+        return 0.0, r, (r[:0],) * 3
+    if e is not w:
+        np.copyto(w, e)
 
     # Row-wise max over the nonzero support, then w = exp(e - max) on the
-    # support and 0 off it.
+    # support and 0 off it, split into W+ and W.
     if partner is not None:
-        w = plan.de
-        if plan.whole:
-            np.copyto(w, e)
-            diag = w.reshape(-1)[:: w.shape[1] + 1]  # the self cells, off the support
-            diag[:] = -np.inf
-            mx = w.max(axis=1)
-            w -= mx[:, None]
-            diag[:] = 0.0
-            np.exp(w, out=w)
-            diag[:] = 0.0
-        else:
-            mx = e.max(axis=1)
-            np.subtract(e, mx[:, None], out=w)
-            np.exp(w, out=w)
+        # The self cells, off the support; type 3's block has none.
+        diag = w.reshape(-1)[:: w.shape[1] + 1] if plan.whole else w[0, :0]
+        diag[:] = -np.inf
+        mx = w.max(axis=1)
+        w -= mx[:, None]
+        diag[:] = 0.0
+        np.exp(w, out=w)
+        diag[:] = 0.0
         num = w[plan.partner_cells]
+        w[plan.partner_cells] = 0.0
     else:
-        off, w, p = plan.off, plan.w, plan.de
-        np.copyto(w, e)
+        off = plan.off
         np.copyto(w, -np.inf, where=off)
         # initial: a caller's ``active`` may flag only rows without support,
         # which leaves the block no column; such a row's max is -inf.
@@ -174,38 +180,28 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None):
         w -= mx[:, None]
         np.copyto(w, 0.0, where=off)
         np.exp(w, out=w)
-        np.copyto(w, 0.0, where=off)
-        p.fill(0.0)
-        np.copyto(p, w, where=plan.pos)
-        num = p.sum(axis=1)
-    den = w.sum(axis=1) + eps * np.exp(-mx)
+        wpos.fill(0.0)
+        np.copyto(wpos, w, where=plan.pos)
+        np.copyto(w, 0.0, where=plan.nonneg)
+        num = wpos.sum(axis=1)
+    eps_term = eps * np.exp(-(mx + rho))
+    rest = w.sum(axis=1) + eps_term  # the denominator's non-positive part
+    den = num + rest
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = num / den
+    ratios = num / den  # den >= 1, the max cell's w, or inf
     r[plan.rows] = ratios
 
+    terms, dl_dr = ratios, -inv_norm
     if log_transform:
         terms = np.log(ratios)
         with np.errstate(divide="ignore"):
             dl_dr = -inv_norm / ratios
-    else:
-        terms = ratios
-        dl_dr = np.full(ratios.size, -inv_norm)
     loss = -inv_norm * float(terms.sum())
 
-    # dr/de_ij = (p_ij * den - num * w_ij) / den^2 ; negatives have p_ij = 0.
+    # dr_i/de_ij = w_ij (rest_i [a_ij > 0] - num_i [a_ij < 0]) / den_i^2, and
+    # d/drho_i is the eps term's share alone.
+    c = dl_dr / den
+    kappa = 0.0 * den - c * ratios
     if partner is not None:
-        # Built in w's buffer: p_ij = 0 off the partner cells, which are then
-        # overwritten with p_ij = w_ij = num.
-        np.multiply(num[:, None], w, out=w)
-        np.subtract((0.0 * den)[:, None], w, out=w)
-        np.divide(w, (den * den)[:, None], out=w)
-        np.multiply(dl_dr[:, None], w, out=w)
-        w[plan.partner_cells] = dl_dr * ((num * den - num * num) / (den * den))
-        return loss, r, w
-    np.multiply(p, den[:, None], out=p)
-    np.multiply(num[:, None], w, out=w)
-    np.subtract(p, w, out=p)
-    np.divide(p, (den * den)[:, None], out=p)
-    np.multiply(dl_dr[:, None], p, out=p)
-    return loss, r, p
+        w[plan.partner_cells] = -rest  # kappa * -rest is alpha * num
+    return loss, r, (kappa, c * (rest / den), -kappa * eps_term)

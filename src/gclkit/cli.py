@@ -50,15 +50,21 @@ def save_dataset(path, dataset):
 
 
 def load_dataset(path):
+    """The dataset of a file ``save_dataset`` wrote; a line that is not an
+    integer label and numbers is a ValueError that names it."""
     labels = []
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.startswith("#"):
                 continue
             parts = line.split()
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
+            try:
+                labels.append(int(parts[0]))
+                rows.append([float(v) for v in parts[1:]])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: line {number}: expected 'LABEL FEATURE...', an "
+                                 f"integer label and numbers, got {line.strip()!r}") from None
     return synth.LabeledDataset(np.array(rows), np.array(labels))
 
 
@@ -90,7 +96,11 @@ def load_checkpoint(path):
         header = fh.readline()
         if CKPT_SCHEMA not in header:
             raise ValueError(f"not a {CKPT_SCHEMA} file: {path}")
-        meta = dict(kv.split("=") for kv in fh.readline().split()[1:])
+        line = fh.readline()
+        tokens = line.split()
+        if tokens[:1] != ["meta"] or not all("=" in kv for kv in tokens[1:]):
+            raise ValueError(f"{path}: line 2: expected 'meta KEY=VALUE...', got {line.strip()!r}")
+        meta = dict(kv.split("=", 1) for kv in tokens[1:])
         tensors = {}
         lines = enumerate(fh, 3)
         for number, line in lines:
@@ -103,7 +113,11 @@ def load_checkpoint(path):
             rows = []
             for _ in range(shape[0] if len(shape) == 2 else 1):
                 number, line = next(lines, (number + 1, ""))
-                rows.append([float(v) for v in line.split()])
+                try:
+                    rows.append([float(v) for v in line.split()])
+                except ValueError:
+                    raise ValueError(f"{path}: line {number}: expected row {len(rows) + 1} of "
+                                     f"tensor {name} as numbers, got {line.strip()!r}") from None
                 if len(rows[-1]) != shape[-1]:
                     raise ValueError(f"{path}: line {number}: row {len(rows)} of tensor {name} "
                                      f"needs {shape[-1]} values, got "
@@ -213,6 +227,9 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--mode", choices=("supervised", "semi", "unsupervised"), default=None)
         p.add_argument("--out", type=Path, default=Path("runs/default"))
+        if name == "verify":
+            p.add_argument("--json", action="store_true",
+                           help="print one JSON object per suite: name, pass, detail, seconds")
     args = parser.parse_args(argv)
 
     if args.print_defaults:
@@ -222,7 +239,7 @@ def main(argv=None):
         parser.print_help()
         return 2
     if args.command == "verify":
-        return 0 if verify.run_all() else 1
+        return 0 if verify.run_all(as_json=args.json) else 1
     try:
         cfg = load_config(args.config)
         if args.command == "synth":

@@ -11,6 +11,7 @@ Zero-norm vectors get cosine 0 with zero gradient, so an all-zero embedding
 cannot poison training with NaNs.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,132 +72,136 @@ def scalar_exponent(z, zp, params):
     return affine_cosine_exponent(z, zp, params)
 
 
-class _Fresh:
-    """Buffer slots with nothing in them: every array is allocated anew."""
-
-    e = gram = None
-
-
 class ExponentMatrix:
-    """All-pairs exponents for a batch, with a backward pass.
+    """All-pairs exponents of a batch as one product of factors, with a backward pass.
 
-    ``backward(grad_e)`` maps a gradient on the exponent matrix to gradients
-    on the batch embeddings and on the trainable kernel parameters.
+    Each kernel's exponent is ``e = x @ y.T + rho``: (rows, D') factors and a
+    per-row constant (v the unit rows of z, or of z @ proj):
 
-    Without ``plan`` the exponent matrix ``e`` is the full (M, M) one. With
-    one (an affinity matrix's loss plan), ``e`` is the plan's (R, C) support
-    block, computed from the entries of its rows and of its columns only,
-    and the plan lends two buffers of that shape: one for ``e``, one for the
-    Gram product (the cosine ``_c``, or ``2x @ y.T``), which the backward
-    pass reuses once its contents are read for the last time. When the block
-    is the whole matrix, the products stay ``(2z) @ z.T`` and ``v @ v.T``
-    (NumPy hands a product of an array with its own transpose to a different
-    BLAS routine) and the diagonal is zeroed, as without a plan. Such a
-    matrix is valid until the plan's next evaluation, and its ``backward``
-    runs once, after the loss has read ``e``.
+      sq-euclid      x = [2z, -1]   y = [z, |z|^2]   rho = -|z|^2
+      cosine-temp    x = v / tau    y = v            rho = 0
+      affine-cosine  x = gamma v    y = v            rho = beta
+
+    ``p = x @ yt`` is one general product (``yt`` is a contiguous copy, so
+    NumPy never takes its slower syrk path for a whole matrix), and
+    ``bound`` bounds |e| by Cauchy-Schwarz. ``e`` adds ``rho`` on request:
+    without ``plan`` the full (M, M) matrix, sq-euclid's diagonal zeroed;
+    with one, the factors cover the plan's support block, ``p`` is written
+    into its buffer and the ratio kernel then works there in place, so read
+    ``e`` first. ``backward`` takes the kernel's row coefficients on the
+    plan, or a dense gradient on ``e`` (kappa = 1, alpha = 0), to z and the
+    kernel parameters with two products with the block, once, after the loss.
     """
 
     def __init__(self, z, params, plan=None):
         self.z = np.asarray(z, dtype=float)
         self.params = params
-        self._out = out = _Fresh if plan is None else plan
+        self.plan = plan
         # The block's row and column entries; None for the whole matrix.
         self._block = None if plan is None or plan.whole else (plan.rows, plan.cols)
-        kind = params.kind
-        if kind == "sq-euclid":
-            # -(|x|^2 + |y|^2 - 2 x.y), each step in one buffer. The product
-            # is (2x) @ y.T: 2 * (x @ y.T) would round differently.
-            # |x|^2 + |y|^2 as a copy of the column, then += the row: np.add of
-            # the two broadcasts would buffer both operands in its iterator.
-            # x1 and y1 are the rows' and the columns' entries with a column
-            # of ones appended, so that the backward's two products carry the
-            # gradient's row and column sums in their last column; x and y
-            # are views of them without it.
-            m, d = self.z.shape
-            z1 = np.empty((m, d + 1))
-            z1[:, :d] = self.z
-            z1[:, d] = 1.0
-            self._x1, self._y1 = x1, y1 = self._sides(z1)
-            x, y = x1[:, :d], y1[:, :d]
-            sqx, sqy = self._sides(np.sum(self.z**2, axis=1))
-            self.e = np.empty((sqx.size, sqy.size)) if out.e is None else out.e
-            self.e[...] = sqx[:, None]
-            self.e += sqy
-            self.e -= np.matmul(2.0 * x, y.T, out=out.gram)
-            np.negative(self.e, out=self.e)
-            if self._block is None:
-                np.fill_diagonal(self.e, 0.0)
-        else:
-            u = self.z @ params.proj if kind == "cosine-temp" else self.z
-            norms = np.linalg.norm(u, axis=1)
-            self._norms = norms
-            safe = np.where(norms == 0.0, 1.0, norms)
-            self._v = u / safe[:, None]
-            self._vx, self._vy = vx, vy = self._sides(self._v)
-            self._c = np.matmul(vx, vy.T, out=out.gram)
-            if kind == "cosine-temp":
-                self.e = np.divide(self._c, params.tau, out=out.e)
-            else:
-                self.e = np.multiply(params.gamma, self._c, out=out.e)
-                self.e += params.beta
+        build = _sq_euclid if params.kind == "sq-euclid" else _cosine
+        # _chain closes over the factor arrays, not over self: a cycle
+        # would hold the plan's buffer until the garbage collector runs.
+        self.x, self.yt, self.rho, self.bound, self._chain = build(self.z, params, self._block)
+        self.p = np.matmul(self.x, self.yt, out=None if plan is None else plan.w)
 
-    def _sides(self, x):
-        """(x on the block's rows, x on its columns): x itself for the whole matrix."""
-        if self._block is None:
-            return x, x
-        rows, cols = self._block
-        return x.take(rows, axis=0), x.take(cols, axis=0)
+    @property
+    def e(self):
+        """The exponents ``p + rho``, a fresh array."""
+        e = self.p + np.reshape(self.rho, (-1, 1))
+        if self._block is None and self.params.kind == "sq-euclid":
+            np.fill_diagonal(e, 0.0)
+        return e
 
-    def _combine(self, on_rows, on_cols):
-        """Per-entry sum of a gradient on the block's rows and one on its columns."""
-        if self._block is None:
-            on_rows += on_cols
-            return on_rows
-        rows, cols = self._block
-        out = np.zeros((self.z.shape[0], on_rows.shape[1]))
-        out[rows] = on_rows
-        out[cols] += on_cols
-        return out
+    def backward(self, grad):
+        """(grad_z, grad_kernel dict with gamma/beta/proj where trainable) from
+        ``ratio_terms``'s ``(kappa, alpha, grad_rho)`` or a dense gradient on e."""
+        x, y = self.x, self.yt.T
+        if isinstance(grad, np.ndarray):
+            return self._chain(grad @ y, grad.T @ x, grad.sum(axis=1))
+        kappa, alpha, grho = grad
+        k, plan = kappa[:, None], self.plan
+        if plan.partner is not None:  # G = diag(kappa) W
+            return self._chain((plan.w @ y) * k, plan.w.T @ (k * x), grho)
+        # W and W+ are the halves of one buffer: one product per side.
+        r, ka = x.shape[0], np.concatenate((kappa, alpha))[:, None]
+        t = plan.buf @ y
+        t *= ka
+        gy = plan.buf.T @ (ka * np.concatenate((x, x)))
+        return self._chain(t[:r] + t[r:], gy, grho)
 
-    def backward(self, grad_e):
-        """Returns (grad_z, grad_kernel dict with gamma/beta/proj where trainable)."""
-        kind = self.params.kind
-        out = self._out
+
+def _sides(block, x):
+    """(x on the block's rows, x on its columns): x itself for the whole matrix."""
+    if block is None:
+        return x, x
+    return x.take(block[0], axis=0), x.take(block[1], axis=0)
+
+
+def _combine(block, m, on_rows, on_cols):
+    """Per-entry sum of a gradient on the block's rows and one on its columns."""
+    if block is None:
+        on_rows += on_cols
+        return on_rows
+    out = np.zeros((m, on_rows.shape[1]))
+    out[block[0]] = on_rows
+    out[block[1]] += on_cols
+    return out
+
+
+def _sq_euclid(z, params, block):
+    """(x, yt, rho, a bound on |e|, chain) of e_ij = 2 x_i.y_j - |y_j|^2 - |x_i|^2."""
+    m, d = z.shape
+    zx, zy = _sides(block, z)
+    sq = np.einsum("ij,ij->i", z, z)
+    sqx, sqy = _sides(block, sq)
+    x = np.full((zx.shape[0], d + 1), -1.0)
+    np.multiply(zx, 2.0, out=x[:, :d])
+    yt = np.concatenate((zy.T, sqy[None]))
+
+    def chain(gx, gy, grho):
+        on_rows = 2.0 * (gx[:, :d] - zx * grho[:, None])
+        on_cols = zy * (2.0 * gy[:, d:])
+        on_cols += gy[:, :d]
+        return _combine(block, m, on_rows, on_cols), {}
+
+    # |x_i|^2 = 4|z_i|^2 + 1 and |y_j|^2 = |z_j|^2 + |z_j|^4, with |z|^2 <= top.
+    top = float(sq.max())
+    return x, yt, -sqx, math.sqrt((4.0 * top + 1.0) * (top + top * top)) + top, chain
+
+
+def _cosine(z, params, block):
+    """(x, yt, rho, a bound on |e|, chain) of both cosine kernels."""
+    temp = params.kind == "cosine-temp"
+    u = z @ params.proj if temp else z
+    norms = np.linalg.norm(u, axis=1)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    v = u / safe[:, None]
+    vx, vy = _sides(block, v)
+    x = vx / params.tau if temp else params.gamma * vx
+
+    def chain(gx, gy, grho):
         grad_kernel = {}
-        if kind == "sq-euclid":
-            # e_ij = -|x_i - y_j|^2, so de_ij/dx_i = -2 (x_i - y_j) = -de_ij/dy_j:
-            # grad_z = -2 (s z - p), where s and p add up, per entry, the row
-            # sums and grad_e @ y on the rows, and the column sums and
-            # grad_e.T @ x on the columns. With the ones column, each
-            # product gives p and s together.
-            d = self.z.shape[1]
-            ps = self._combine(grad_e @ self._y1, grad_e.T @ self._x1)
-            grad_z = ps[:, d:] * self.z
-            grad_z -= ps[:, :d]
-            grad_z *= -2.0
-            return grad_z, grad_kernel
-
-        if kind == "cosine-temp":
-            grad_c = np.divide(grad_e, self.params.tau, out=out.gram)
+        if temp:
+            gx /= params.tau
         else:
-            grad_c = np.multiply(grad_e, self._c, out=out.gram)
-            grad_kernel["gamma"] = float(np.sum(grad_c))
-            grad_kernel["beta"] = float(np.sum(grad_e))
-            np.multiply(self.params.gamma, grad_e, out=grad_c)
+            grad_kernel["gamma"] = float(np.vdot(vx, gx))
+            grad_kernel["beta"] = float(np.sum(grho))
+            gx *= params.gamma
+        # Radial components cancel: v is a unit row.
+        grad_v = _combine(block, z.shape[0], gx, gy)
+        radial = np.sum(grad_v * v, axis=1, keepdims=True)
+        grad_u = (grad_v - radial * v) / safe[:, None]
+        grad_u[norms == 0.0] = 0.0
+        if temp:
+            grad_kernel["proj"] = z.T @ grad_u
+            return grad_u @ params.proj.T, grad_kernel
+        return grad_u, grad_kernel
 
-        # c = vx vy^T with v = u / ||u||; radial components cancel on the diagonal.
-        grad_v = self._combine(grad_c @ self._vy, grad_c.T @ self._vx)
-        radial = np.sum(grad_v * self._v, axis=1, keepdims=True)
-        safe = np.where(self._norms == 0.0, 1.0, self._norms)
-        grad_u = (grad_v - radial * self._v) / safe[:, None]
-        grad_u[self._norms == 0.0] = 0.0
-
-        if kind == "cosine-temp":
-            grad_kernel["proj"] = self.z.T @ grad_u
-            grad_z = grad_u @ self.params.proj.T
-        else:
-            grad_z = grad_u
-        return grad_z, grad_kernel
+    # Where the norms are finite, the rows of v have norm 1 or 0 (to rounding).
+    scale, rho = (1.0 / params.tau, 0.0) if temp else (abs(params.gamma), params.beta)
+    bound = scale + abs(rho) if norms.max(initial=0.0) < math.inf else math.inf
+    return x, np.ascontiguousarray(vy.T), rho, bound, chain
 
 
 def exponent_matrix(batch, params, plan=None):

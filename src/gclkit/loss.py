@@ -19,18 +19,18 @@ positive cells, so they give the same bits as their float64 copies. Scorers
 of the complete form receive each entry as a Python float.
 
 Every evaluation runs on the matrix's loss plan (``AffinityMatrix._plan``,
-see ``_core_py``), built on its first evaluation and held with its float64
-buffers while the matrix lives, so one matrix must not be evaluated from
-two threads at once. The plan is the affinity's support block, the active
-rows against the columns with a nonzero cell on them: its row count is A,
-and the exponent matrix, the ratio kernel and the backward pass compute its
-cells only. Cells outside the block are never computed, so the finiteness
-check on the exponents covers the block, which is every exponent the loss
-reads. When the block is the whole matrix the exponent products stay
-``(2z) @ z.T`` and ``v @ v.T`` as without a plan (NumPy hands a product of
-an array with its own transpose to a different BLAS routine). No array of a
-report is a plan buffer: ``per_anchor``, ``grad_z`` and the kernel
-gradients are fresh on every call.
+see ``_core_py``): its support block, the active rows (A of them) against
+the columns with a nonzero cell on them, built on the first evaluation and
+held with its float64 buffer while the matrix lives, so one matrix must not
+be evaluated from two threads at once. Each kernel's exponent is a product
+of (M, D') factors plus a per-row constant (see ``ExponentMatrix``): the
+block holds the product, the ratio kernel works in it in place and returns
+two coefficients per row instead of a gradient on the block, and the
+backward pass takes them to the factors with two products. The finiteness
+check is O(M * D'): only where the factors' Cauchy-Schwarz bound on |e| is
+not comfortably finite is the block itself checked. No array of a report
+is a plan buffer: ``per_anchor``, ``grad_z`` and the kernel gradients are
+fresh on every call.
 
 ``oracle_episode`` and ``oracle_ntxent`` are deliberately naive direct
 implementations of the prototypical episode loss and the two-view NT-Xent
@@ -90,15 +90,14 @@ def _evaluate(batch, affinity, kernel_params, options, with_grad):
         return report
 
     em = kernels.exponent_matrix(batch, kernel_params, plan)  # the plan's block
-    if not np.all(np.isfinite(em.e)):
+    if not em.bound < 1e300 and not np.isfinite(em.e).all():  # |e| <= em.bound
         raise FloatingPointError("non-finite exponent in similarity matrix")
     log_transform = options.ratio_transform == "negated-log-ratio"
-    loss, r, de = ratio_terms(
-        em.e, affinity.a, affinity.active, options.epsilon, log_transform, 1.0 / n_active, plan,
-    )
+    loss, r, grad = ratio_terms(em.p, affinity.a, affinity.active, options.epsilon,
+                                log_transform, 1.0 / n_active, plan, em.rho)
     report = LossReport(loss=float(loss), per_anchor=r, active=affinity.active)
     if with_grad:
-        report.grad_z, report.grad_kernel = em.backward(de)
+        report.grad_z, report.grad_kernel = em.backward(grad)
     return report
 
 

@@ -220,13 +220,12 @@ def test_compare_backends_call_runs_the_engine_kernel():
             want = reference_ratio_terms(e, a_copy, active, 1e-12, log_transform, inv)
             for _ in range(2):  # the second evaluation reuses the plan
                 report = loss.gcl_grad(unit.batch, a, unit.kernel, options)
-            # The backward pass writes the plan's gram buffer, not de; de is
-            # the block, zero around it in the full matrix.
-            plan = a._plan
-            de = np.zeros_like(e)
-            de[np.ix_(plan.rows, plan.cols)] = plan.de
-            engine = (report.loss, report.per_anchor, de)
-            for g, w, x in zip(got, want, engine):
+            for g, w, x in zip(got, want, (report.loss, report.per_anchor)):
                 assert _close(g, w) and _close(x, g), (unit.key, log_transform)
+            assert _close(got[2], want[2]), (unit.key, log_transform)
+            # The engine forms no gradient on e: its grad_z is held to the
+            # full gradient's, back-propagated through the whole matrix.
+            grad_z, _ = kernels.exponent_matrix(unit.batch, unit.kernel).backward(got[2])
+            assert _close(report.grad_z, grad_z), (unit.key, log_transform)
     assert {layout for _, layout in seen} == set(workloads.LAYOUTS)
     assert {m for m, _ in seen} == {26, 100}

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import fields
 
@@ -111,6 +112,10 @@ MALFORMED_CHECKPOINTS = [
     ("W1 too wide", r"tensor W1 has shape \(\d+, 3\), the encoder's is \(\d+, 5\)"),
     ("W1 truncated", r"\.txt: line 6: row 3 of tensor W1 needs 3 values, got the end of the file"),
     ("blank line", r"\.txt: line \d+: expected 'tensor NAME ROWS \[COLS\]', got ''"),
+    ("meta token without =",
+     r"\.txt: line 2: expected 'meta KEY=VALUE\.\.\.', got 'meta .* hidden3 "),
+    ("W1 value not a number",
+     r"\.txt: line 5: expected row 2 of tensor W1 as numbers, got '\S+ x \S+'"),
 ]
 
 
@@ -128,6 +133,12 @@ def malform(path, case):
         del lines[at + 3:]
     elif case == "blank line":
         lines.insert(lines.index("tensor b1 3\n"), "\n")
+    elif case == "meta token without =":
+        lines[meta] = lines[meta].replace(" hidden=3", " hidden3")
+    elif case == "W1 value not a number":  # the middle value of W1's second row
+        at = next(i for i, line in enumerate(lines) if line.startswith("tensor W1 ")) + 2
+        values = lines[at].split()
+        lines[at] = f"{values[0]} x {values[2]}\n"
     else:  # the encoder has 5 hidden units, the tensors 3
         lines[meta] = lines[meta].replace(" hidden=3", " hidden=5")
     path.write_text("".join(lines))
@@ -336,6 +347,30 @@ class TestCommands:
             f"error: {trials}: line 3: expected 'label idA idB', a label of 0 or 1 and ids "
             f"from 0 to 23, got {line!r}\n")
 
+    @pytest.mark.parametrize("command, name", [("train", "train.txt"), ("eval", "holdout.txt")])
+    @pytest.mark.parametrize("edit", ["blank line", "feature not a number"])
+    def test_dataset_errors_name_the_line(self, tmp_path, capsys, command, name, edit):
+        # A blank line used to end in an IndexError traceback and exit 1, and
+        # a feature that is not a number in a float error without the file.
+        cfg = write_config(tmp_path, SMALL_CFG)
+        out = tmp_path / "run"
+        base = ["--config", str(cfg), "--out", str(out)]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["train"] + base) == 0
+        path = out / name
+        lines = path.read_text().splitlines(keepends=True)
+        if edit == "blank line":
+            lines.insert(3, "\n")
+        else:
+            values = lines[3].split()
+            lines[3] = " ".join(values[:2] + ["abc"] + values[3:]) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert cli.main([command] + base) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 4: expected 'LABEL FEATURE...', an integer label and "
+            f"numbers, got {lines[3].strip()!r}\n")
+
     def test_train_steps_zero_checkpoint_equals_init(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CFG + "train.steps = 0\n")
         out = tmp_path / "run"
@@ -396,3 +431,13 @@ class TestCommands:
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_verify_json(self, capsys):
+        assert cli.main(["verify", "--json"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["name"] for r in records] == [
+            "episode-equivalence", "ntxent-equivalence", "semi-reduction", "gradient-suite",
+            "complete-form", "stability", "eer-units"]
+        for r in records:
+            assert r.keys() == {"name", "pass", "detail", "seconds"}
+            assert r["pass"] is True and isinstance(r["detail"], str) and r["seconds"] >= 0

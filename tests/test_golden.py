@@ -7,29 +7,20 @@ Any change to losses, gradients, batch bookkeeping or the optimizer shows up
 as a digest mismatch.
 
 The digests were recaptured, with numpy 2.4 on x86-64, when the loss began
-to evaluate only the affinity's support block: the exponent matrix, the
-ratio kernel and the backward pass run on the active rows x support columns
-(type 3's (N, N) query x prototype block), and the backward adds G @ v and
-G.T @ v instead of forming (G + G.T) @ v (for sq-euclid, the products also
-carry G's row and column sums, through a column of ones appended to z).
-That regroups row sums and products, so the values moved by rounding
-only: over these 60-step runs the
-per-step loss, mean ratio and gradient norm moved by at most 6e-15
-relative. The earlier digests dated from commit 9653e11 (38784c4 for
-``unsupervised-sq-euclid``).
-
-``semi`` and ``semi-relaxed-cosine`` were recaptured once more when a
-semi-supervised step began to encode its labeled rows and its augmented
-views as one pool, with one encoder forward and one backward pass, instead
-of one pass per group. The encoder's weight gradient is then one product
-over the whole pool (``h.T @ G``), whose sums group the rows differently
-from two products added together, so the semi values moved by rounding
-only: over these 60-step runs the per-step loss and mean ratio moved by at
-most 3.9e-16 relative and the gradient norm by at most 2.0e-15 (over 600
-steps, 5.2e-16 and 5.7e-15), and the held-out EER did not move. The four
-supervised and unsupervised digests were not recaptured: those steps encode
-the same rows as before and stay bit-identical. A deliberate numeric change
-must recapture the digests it moves and say why.
+to evaluate every kernel's exponent as one product of factors plus a
+per-row constant (``2z.y - |y|^2 - |z|^2``, ``(gamma v) @ v.T + beta``,
+``(v / tau) @ v.T``) and to return two coefficients per row instead of a
+gradient on the block: the backward pass multiplies the block of weights by
+the factors and scales rows, where it used to form the gradient cell by
+cell and multiply it by v (or z). The products, sums and gradient terms
+group their operations differently, so the values moved by rounding only:
+over these 60-step runs the per-step loss and mean ratio moved by at most
+4.9e-16 relative and the gradient norm by at most 6.1e-15 (over 600 steps,
+3.3e-14 and 2.3e-12, both in ``unsupervised-sq-euclid``), and no held-out
+EER moved. All six digests moved. The earlier digests dated from the
+support-block evaluation (``semi`` and ``semi-relaxed-cosine`` from the
+one-pass feature pool). A deliberate numeric change must recapture the
+digests it moves and say why.
 """
 
 import hashlib
@@ -52,28 +43,28 @@ CONFIGS = {
 # name -> (sha256 of metrics.csv below the header, sha256 of checkpoint.txt)
 GOLDEN = {
     "supervised-type3": (
-        "b522729e3a5d7b2634e75cb79a50467e46a85a755a8b1a6bcf1f10b4738522a6",
-        "4893b26f80eded9c5a3476385ede438d8202c165f90af8978b6be7d8fd9d29cc",
+        "001730cc69a42b03b6381331837190acdf21a14de7dd93a3d0ce3430dac7a7e2",
+        "e0c4177269952f137667173221c2140ed492c73d6df6983b52141c248e911366",
     ),
     "supervised-type4-k4": (
-        "ded7e9eb0e151015d1a59c4473d26a489d73aaaaa1ad202f18d5de6269d389d1",
-        "d037fcb8ebcaf230993896c9357a38a9a500b0ecfe9d32a59e6fab2f384cd81a",
+        "0531650af66e18358ceca3a1f1700fca45b5b6beaf42c2a4d85a7509825f8631",
+        "89169ace7f03ae1b7ca88205a093765de97e9d34f44015f256cee4d4cb0f902f",
     ),
     "unsupervised": (
-        "dee49003b44b22538d60c0efbd42f3009b48ea98aa2c78d73ce5e12997aa1ba5",
-        "df7c7f4fa77466276d8cd6656915d1ec6798ae1ad960fe580b5e932b09916cd1",
+        "6529ca66366a0b17abf1b8c58dcfb9c51c0c7913393539da85279bbc4104cad1",
+        "482eeb46c6528f1a2ec89d31e035f989932479ffd096bb25619484b7c3d1a4d4",
     ),
     "semi": (
-        "b8f54acd5520986cd9565d2935b202bd89a5795082f9f6a72d8da2c0a6d1bf4a",
-        "e3843ca332c01a40b70da651cd8089821a0c9455e5491ea30722a0805181198f",
+        "b0589833afe212e7a2ed1f3ec2755b25ce76d77b5df96f498eab4b57e349f31d",
+        "fb2072d7ff4ec0005270b52e2a0b94caf200159426f99246a04ecbb40f21c11a",
     ),
     "semi-relaxed-cosine": (
-        "782753b508a163f792cb747f7c63cd79247a6815ff9a50e8739ceb246a506669",
-        "ed77866475fcd083ab82c50cd6693ff99ae39580d6229c17e62f345274624c30",
+        "4cc830b17d3a5408bbca4c22a38ded54dfc56bf6cec40cd913adf315b62758b4",
+        "cdbf26f8b91a79a7d564b8382ff69b5cf142f147f2140d347a60a9a7458b7bef",
     ),
     "unsupervised-sq-euclid": (
-        "56b754e35b5a66cab9546609912ce60b0b15503eeeca16daa3683577ea62a344",
-        "f72b387007084891656edfb63b37eb68d322f4050e18cb40c246079794103e9c",
+        "1d0ff1a6705cc3c8e98e71b960d0e51ce30445fea3dda27a5dbc1d625f6235ed",
+        "f29c4ced1e16a9fa00a0bf7fdf40647411d7f1905d44b7aed5e57f89a8b7651e",
     ),
 }
 

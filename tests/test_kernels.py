@@ -209,8 +209,8 @@ class TestInPlaceArithmetic:
     """The exponent matrix and its backward pass, on the whole matrix and on
     each layout's support block, against the one-expression whole-matrix
     forms: within 1e-12 of their largest magnitude, not bit for bit (the
-    backward adds G @ v and G.T @ v, and a block's product is a general
-    one, where v @ v.T is symmetric)."""
+    exponents are a product of factors plus a per-row constant, and the
+    backward pass goes through the factors' gradients)."""
 
     KINDS = ("sq-euclid", "affine-cosine", "cosine-temp")
 
@@ -226,7 +226,10 @@ class TestInPlaceArithmetic:
         params = self._params(kind, 5, rng)
         em = kernels.ExponentMatrix(z, params)
         e, grad_z, grad_k = _direct(z, params, grad_e)
-        assert np.array_equal(em.e, e)  # the forward pass is unchanged without a plan
+        # The product of the factors plus rho, not the one-expression form.
+        assert _close(em.e, e)
+        if kind == "sq-euclid":
+            assert not em.e.diagonal().any()
         got_z, got_k = em.backward(grad_e)
         assert _close(got_z, grad_z)
         assert got_k.keys() == grad_k.keys()
@@ -252,7 +255,7 @@ class TestInPlaceArithmetic:
             grad_e[cells] = rng.normal(size=plan.shape)
             e, grad_z, grad_k = _direct(z, params, grad_e)
             em = kernels.ExponentMatrix(z, params, plan)
-            assert em.e is plan.e and _close(em.e, e[cells])
+            assert em.p is plan.w and _close(em.e, e[cells])
             got_z, got_k = em.backward(grad_e[cells].copy())
             assert _close(got_z, grad_z)
             assert got_k.keys() == grad_k.keys()

@@ -2,7 +2,11 @@
 
 ``reference_ratio_terms`` is the straightforward whole-matrix evaluation:
 every row, -inf outside the support fed to ``exp``, one temporary per
-operation. The kernel evaluates only the affinity's support block (the
+operation. Its gradient is ``r = num / (num + rest)`` differentiated with
+the positive sum ``num`` and the non-positive part ``rest`` (negative cells
+plus eps) summed apart, as the kernel does, so that a row whose ratio is
+near 1 keeps its digits (a test below holds both to a 50-digit
+evaluation). The kernel evaluates only the affinity's support block (the
 active rows x the columns with a nonzero cell on them), so its row sums
 group their terms differently and it must agree with the reference within
 ``RTOL`` relative (see ``_close``), not bit for bit. That holds on every
@@ -24,6 +28,7 @@ share memory with another report or with the plan, and an evaluation after
 a matrix's first allocates no array of the block's size.
 """
 
+import decimal
 import tracemalloc
 import warnings
 
@@ -57,7 +62,8 @@ def reference_ratio_terms(e, a, active, eps, log_transform, inv_norm):
     p = np.where(pos, w, 0.0)
 
     num = p.sum(axis=1)
-    den = w.sum(axis=1) + eps * np.exp(-mx)
+    rest = (w - p).sum(axis=1) + eps * np.exp(-mx)  # the non-positive part
+    den = num + rest
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = num / den
@@ -74,7 +80,7 @@ def reference_ratio_terms(e, a, active, eps, log_transform, inv_norm):
         dl_dr = np.full(m, -inv_norm)
     loss = -inv_norm * float(terms.sum())
 
-    dr = (p * den[:, None] - num[:, None] * w) / (den * den)[:, None]
+    dr = (p * rest[:, None] - (w - p) * num[:, None]) / (den * den)[:, None]
     dr[~act] = 0.0
     de[:] = dl_dr[:, None] * dr
     de[~act] = 0.0
@@ -160,6 +166,42 @@ def test_matches_reference_over_grid(n, kind, scale, log_transform):
             dense = name in ("type3", "type4", "semi") or (name == "semi-relaxed" and n // 3 < 2)
             assert (_core_py._LossPlan(a, active).partner is None) != dense, name
             _assert_close(e, a, active, log_transform)
+
+
+def _decimal_ratio_grad(e, a, active, eps, log_transform, inv_norm):
+    """d(loss)/d(e) evaluated in 50-digit decimal arithmetic, then rounded."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        g = np.zeros(e.shape)
+        for i in np.flatnonzero(active):
+            s = {j: decimal.Decimal(float(e[i, j])).exp() for j in np.flatnonzero(a[i])}
+            num = sum((s[j] for j in s if a[i, j] > 0), decimal.Decimal(0))
+            den = sum(s.values(), decimal.Decimal(0)) + decimal.Decimal(eps)
+            r = num / den
+            dl_dr = decimal.Decimal(-inv_norm) / (r if log_transform else 1)
+            for j in s:
+                g[i, j] = float(dl_dr * s[j] * ((a[i, j] > 0) - r) / den)
+        return g
+
+
+@pytest.mark.parametrize("log_transform", [False, True])
+def test_gradient_keeps_its_digits_where_the_ratio_is_near_one(log_transform):
+    # Type 1's query rows have one positive and no negative, so r = 1 - 1e-12
+    # and each cell's gradient is the eps term's share alone; at N = 1 every
+    # layout's ratio is near 1. A positive cell computed as p * den - num * w
+    # loses up to 1e-4 of it here; the kernel and the reference sum the
+    # positive and the non-positive parts of the denominator apart.
+    rng = np.random.default_rng(27)
+    for n, kind, scale in ((1, "sq-euclid", 0.3), (1, "affine-cosine", 3.0),
+                           (5, "sq-euclid", 0.3), (5, "affine-cosine", 3.0)):
+        for name, layout in _layouts(n).items():
+            e = _exponents(rng, kind, scale, layout.size)
+            a, active = layout.a, _active(layout.a)
+            inv_norm = 1.0 / int(np.count_nonzero(active))
+            want = _decimal_ratio_grad(e, a, active, 1e-12, log_transform, inv_norm)
+            for got in (reference_ratio_terms(e, a, active, 1e-12, log_transform, inv_norm),
+                        _core_py.ratio_terms(e, a, active, 1e-12, log_transform, inv_norm)):
+                assert _close(got[2], want, rtol=1e-14), (n, kind, name)
 
 
 def _dense_layouts():
@@ -275,8 +317,8 @@ def test_inactive_rows_are_zero_and_inputs_untouched():
 
 def reference_gcl_grad(batch, matrix, params, options):
     """``gcl_grad`` written directly, one fresh array per operation:
-    (loss, per_anchor, grad_z, grad_kernel). The exponent matrix is formed
-    as ``(2z) @ z.T`` and ``v @ v.T``, the products the kernel must keep."""
+    (loss, per_anchor, grad_z, grad_kernel), with the exponent matrix formed
+    whole, not as the kernel's product of factors."""
     z, kind = batch.z, params.kind
     if kind == "sq-euclid":
         sq = np.sum(z**2, axis=1)
@@ -420,10 +462,8 @@ def test_reused_matrix_allocates_no_block_sized_array(name, n, d):
     # is a plan buffer; the rest is O(M * D) and O(M) arrays plus NumPy's
     # ufunc iteration buffers, under 0.8 of a block. Every layout's block is
     # (128, 128), with M * D = 1024: types 1 and 3 take an (N, N) block of
-    # M = 2N. The sq-euclid exponent's |x|^2 + |y|^2 is a copy of the column
-    # followed by += the row: np.add of the two broadcasts would hold two
-    # iteration buffers of np.getbufsize() float64 each, 128 KB whatever M
-    # is, which is one more (128, 128) block.
+    # M = 2N. No gradient on the block is formed: the kernel returns row
+    # coefficients and the backward pass multiplies the block by the factors.
     rng = np.random.default_rng(22)
     matrix = getattr(aff, f"{name}_affinity")(n)
     peaks = []
@@ -440,7 +480,8 @@ def test_reused_matrix_allocates_no_block_sized_array(name, n, d):
         tracemalloc.stop()
     assert matrix._plan.shape == (128, 128)
     block = 8 * 128 * 128
-    assert peaks[0] >= 3 * block  # the plan's three buffers
+    # The plan's buffer: W, and on the masked path (type 1) W+ below it.
+    assert peaks[0] >= (2 if name == "type1" else 1) * block
     assert max(peaks[1:]) < 0.8 * block, [p / block for p in peaks]
 
 
@@ -464,13 +505,16 @@ def test_plan_block_of_each_layout():
         assert plan.whole == (rows.size == 2 * n), name
         shape = (rows.size, cols.size)
         assert plan.shape == shape, name
-        assert all(x.shape == shape for x in (plan.e, plan.gram, plan.de)), name
+        assert plan.w.shape == shape and np.shares_memory(plan.w, plan.buf), name
         assert np.count_nonzero(a[np.ix_(rows, cols)]) == np.count_nonzero(a[matrix.active]), name
         assert (plan.partner is not None) == dense, name
         if dense:
             assert (a[np.ix_(rows, cols)][np.arange(shape[0]), plan.partner] > 0).all(), name
+            assert plan.buf.shape == shape and plan.wpos is None, name
         else:
-            assert plan.off.shape == plan.pos.shape == plan.w.shape == shape, name
+            assert plan.off.shape == plan.pos.shape == plan.nonneg.shape == shape, name
+            assert plan.buf.shape == (2 * shape[0], shape[1]), name
+            assert plan.wpos.shape == shape and np.shares_memory(plan.wpos, plan.buf), name
 
 
 @pytest.mark.parametrize("a", [np.zeros((4, 4)), np.eye(4) - 1.0], ids=["zero", "negatives"])
@@ -505,15 +549,63 @@ def test_partial_block_with_self_cells(transform):
             _assert_report(losses.gcl_grad(batch, matrix, params, options), want, params.kind)
 
 
-@pytest.mark.parametrize("name", ["type3", "type4"])
+def _raise_layouts():
+    """(matrix, (N, N')) of every layout the loss plan distinguishes, at M = 8."""
+    return {
+        "type1": (aff.type1_affinity(4), (4, 0)),
+        "type2": (aff.type2_affinity(4), (4, 0)),
+        "type3": (aff.type3_affinity(4), (4, 0)),
+        "type4": (aff.type4_affinity(4), (4, 0)),
+        "semi": (aff.semi_affinity(2, 2), (2, 2)),
+        "semi-relaxed": (aff.semi_affinity(2, 2, relaxed_unlabeled=True), (2, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", ["type1", "type2", "type3", "type4", "semi", "semi-relaxed"])
 def test_non_finite_exponent_in_block_raises(name):
     # The finiteness check covers the block, every exponent the loss reads.
     rng = np.random.default_rng(25)
-    matrix = getattr(aff, f"{name}_affinity")(4)
-    batch = _batch(rng, 4, 0, 3)
-    huge = batching.RepresentationBatch(batch.z * 1e200, *batching.canonical_tags(4, 0), 4, 0)
+    matrix, (n_labeled, n_unlabeled) = _raise_layouts()[name]
+    tags = batching.canonical_tags(n_labeled, n_unlabeled)
+    batch = _batch(rng, n_labeled, n_unlabeled, 3)
+    huge = batching.RepresentationBatch(batch.z * 1e200, *tags, n_labeled, n_unlabeled)
+    # Finite squared norms (about 1e308) whose cross term 2 x.y is -inf: x on
+    # every even row, y = -x on the odd row next to it, a cell of every block.
+    x = rng.normal(size=(4, 3))
+    x *= 1e154 / np.linalg.norm(x, axis=1, keepdims=True)
+    z = np.empty((8, 3))
+    z[0::2], z[1::2] = x, -x
+    assert np.isfinite(np.sum(z**2, axis=1)).all()
+    opposed = batching.RepresentationBatch(z, *tags, n_labeled, n_unlabeled)
     for b, params in ((huge, KernelParams("sq-euclid")),
+                      (opposed, KernelParams("sq-euclid")),
                       (batch, KernelParams("cosine-temp", tau=1e-310, proj=np.eye(3)))):
         with pytest.raises(FloatingPointError, match="non-finite exponent"), \
                 np.errstate(over="ignore", invalid="ignore"):
             losses.gcl_grad(b, matrix, params)
+
+
+@pytest.mark.parametrize("transform", losses.TRANSFORMS)
+@pytest.mark.parametrize("name, dense", [("type3", True), ("type4", True), ("semi", True),
+                                         ("type2", False), ("semi-relaxed", False)])
+def test_diverged_rows_stay_loud_through_gcl_grad(name, dense, transform):
+    # sq-euclid on embeddings scaled by 40: every active row's largest
+    # exponent is far below -709, so eps * exp(-max) overflows and every
+    # active ratio collapses to 0. The gradient of such a row must be NaN,
+    # never a finite gradient of a diverged row, on the fresh matrix's first
+    # evaluation and on the reused plan.
+    rng = np.random.default_rng(26)
+    matrix, (n_labeled, n_unlabeled) = _raise_layouts()[name]
+    assert (matrix._plan.partner is not None) == dense
+    options = losses.GclOptions(ratio_transform=transform)
+    for _ in range(2):
+        z = rng.normal(0.0, 40.0, size=(matrix.size, 8))
+        d2 = np.sum((z[:, None] - z[None]) ** 2, axis=2)
+        largest = np.where(matrix.a != 0, -d2, -np.inf).max(axis=1)
+        assert largest[matrix.active].max() < -709
+        batch = batching.RepresentationBatch(
+            z, *batching.canonical_tags(n_labeled, n_unlabeled), n_labeled, n_unlabeled)
+        with np.errstate(all="ignore"):
+            report = losses.gcl_grad(batch, matrix, KernelParams("sq-euclid"), options)
+        assert not report.per_anchor[matrix.active].any()
+        assert np.isnan(report.grad_z[matrix.active]).all()

@@ -170,6 +170,18 @@ class TestTraining:
                 FloatingPointError, match=r"step \d+ in the loss backward pass: embedding"):
             training.train(ds, cfg, seed=1)
 
+    @pytest.mark.parametrize("extra", [{}, {"affinity": "type4", "k_prime": 4}])
+    def test_sq_euclid_log_ratio_divergence_is_loud(self, extra):
+        # The squared distance is unbounded: within some tens of steps a
+        # row's largest exponent falls below -709, its ratio collapses to 0,
+        # and the run must stop on that step instead of training on.
+        ds = synth.synth_dataset(synth.SyntheticConfig(n_speakers=40, seed=3))
+        cfg = training.TrainConfig(mode="supervised", kernel="sq-euclid", batch_slots=24,
+                                   ratio_transform="negated-log-ratio", **extra)
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=r"training diverged at step \d+ in the loss"):
+            training.train(ds, cfg, seed=3)
+
     def test_non_finite_kernel_gradient_named(self, monkeypatch):
         bad = losses.LossReport(loss=-0.5, per_anchor=np.zeros(12), active=np.ones(12, bool),
                                 grad_z=np.zeros((12, 4)),
