@@ -227,9 +227,6 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--mode", choices=("supervised", "semi", "unsupervised"), default=None)
         p.add_argument("--out", type=Path, default=Path("runs/default"))
-        if name == "verify":
-            p.add_argument("--json", action="store_true",
-                           help="print one JSON object per suite: name, pass, detail, seconds")
     args = parser.parse_args(argv)
 
     if args.print_defaults:
@@ -239,7 +236,7 @@ def main(argv=None):
         parser.print_help()
         return 2
     if args.command == "verify":
-        return 0 if verify.run_all(as_json=args.json) else 1
+        return 0 if verify.run_all() else 1
     try:
         cfg = load_config(args.config)
         if args.command == "synth":

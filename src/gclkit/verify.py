@@ -1,13 +1,11 @@
 """Self-checking suites: oracle equivalences, gradients, invariants, EER units.
 
 Each suite returns (name, passed, detail). ``run_all`` prints one line per
-suite, or one JSON object (name, pass, detail, seconds) for ``verify
---json``, and reports overall success; the CLI maps that to its exit code.
+suite and reports overall success; the CLI maps that to its exit code.
 Suite functions accept the loss entry points as parameters so a harness can
 inject a broken implementation and confirm the suite catches it.
 """
 
-import json
 import time
 
 import numpy as np
@@ -252,17 +250,12 @@ ALL_SUITES = (
 )
 
 
-def run_all(out=print, as_json=False):
-    """Runs every suite, printing one line each (one JSON object with
-    ``as_json``); True when all pass."""
+def run_all(out=print):
     all_ok = True
     for suite in ALL_SUITES:
         t0 = time.perf_counter()
         name, ok, detail = suite()
         dt = time.perf_counter() - t0
         all_ok &= ok
-        if as_json:
-            out(json.dumps({"name": name, "pass": bool(ok), "detail": detail, "seconds": dt}))
-        else:
-            out(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({dt:.2f}s)")
+        out(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({dt:.2f}s)")
     return all_ok

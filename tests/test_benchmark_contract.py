@@ -224,8 +224,9 @@ def test_compare_backends_call_runs_the_engine_kernel():
                 assert _close(g, w) and _close(x, g), (unit.key, log_transform)
             assert _close(got[2], want[2]), (unit.key, log_transform)
             # The engine forms no gradient on e: its grad_z is held to the
-            # full gradient's, back-propagated through the whole matrix.
-            grad_z, _ = kernels.exponent_matrix(unit.batch, unit.kernel).backward(got[2])
+            # reference's full gradient, back-propagated through the whole
+            # matrix.
+            grad_z, _ = kernels.exponent_matrix(unit.batch, unit.kernel).backward(want[2])
             assert _close(report.grad_z, grad_z), (unit.key, log_transform)
     assert {layout for _, layout in seen} == set(workloads.LAYOUTS)
     assert {m for m, _ in seen} == {26, 100}

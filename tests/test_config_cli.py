@@ -1,4 +1,3 @@
-import json
 import re
 from dataclasses import fields
 
@@ -431,13 +430,3 @@ class TestCommands:
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
-
-    def test_verify_json(self, capsys):
-        assert cli.main(["verify", "--json"]) == 0
-        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert [r["name"] for r in records] == [
-            "episode-equivalence", "ntxent-equivalence", "semi-reduction", "gradient-suite",
-            "complete-form", "stability", "eer-units"]
-        for r in records:
-            assert r.keys() == {"name", "pass", "detail", "seconds"}
-            assert r["pass"] is True and isinstance(r["detail"], str) and r["seconds"] >= 0
