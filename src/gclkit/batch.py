@@ -23,6 +23,15 @@ on N', so every batch of one shape shares read-only arrays.
 A training step encodes one pool, the labeled N*K' rows and then the 2N'
 views, and builds both batches from slices of the output: the merged map
 covers the whole pool in order, for one encoder backward pass.
+
+The labeled rows come from two-step sampling: one ``rng.choice`` of N
+classes, then K' rows of each. The random stream of the second step is one
+``rng.choice(count, K', replace=False)`` per class, and it is replayed, not
+changed: numpy draws each of those samples with Floyd's algorithm and a
+shuffle, one 32-bit word per bounded draw, so one bulk draw of the words
+gives the same rows and leaves the generator in the same state. Where a word
+is one that numpy's bounded draw might reject and redraw, or a class has more
+rows than Floyd's branch covers, the per-class calls run instead.
 """
 
 from dataclasses import dataclass, field
@@ -127,6 +136,9 @@ def two_step_sample(dataset, n, k, rng):
     """Sample N distinct classes, then K samples per class without replacement.
 
     ``dataset`` is a ``LabeledDataset``; its class index is built once per pool.
+    The samples and the final state of ``rng`` are those of one
+    ``rng.choice(count, k, replace=False)`` per chosen class, in order, after
+    the class draw (see ``_choice_rows``).
     """
     classes, counts, order, starts = dataset.class_index
     if len(classes) < n:
@@ -135,13 +147,66 @@ def two_step_sample(dataset, n, k, rng):
     if len(eligible) < n:
         raise CapacityError(f"need {n} classes with >= {k} samples, have {len(eligible)}")
     chosen = rng.choice(eligible, size=n, replace=False)
-    # One draw per class is the RNG stream; only the row lookup is batched.
-    take = np.empty((n, k), dtype=np.intp)
-    for row, count in enumerate(counts[chosen].tolist()):
-        take[row] = rng.choice(count, size=k, replace=False)
+    # One bulk draw replays the per-class calls bit for bit; the calls
+    # themselves run only where the replay cannot be exact.
+    take = _choice_rows(counts[chosen], k, rng)
     take += starts[chosen, None]
     samples = dataset.features[order[take]].astype(float, copy=False)
     return LabeledMiniBatch(samples=samples, labels=classes[chosen])
+
+
+# Up to this population, Generator.choice(count, k, replace=False) runs
+# Floyd's algorithm; above it, it may shuffle the tail of an arange instead.
+_FLOYD_MAX = 10000
+
+
+def _choice_rows(counts, k, rng):
+    """Row i is ``rng.choice(counts[i], k, replace=False)``, drawn for every
+    row in turn; ``rng`` ends where those per-row calls leave it.
+
+    Each call runs Floyd's k draws (draw t is uniform on [0, count-k+t]; a
+    value already taken becomes count-k+t), then shuffles them with k-1 draws
+    (the one for position i uniform on [0, i]). Each draw over r values is
+    Lemire's ``(w * r) >> 32`` of one 32-bit word w, and a draw over one value
+    takes none. So one bulk draw of every row's words, from the same
+    ``next_uint32`` stream, replays the calls bit for bit unless a word is
+    one Lemire may reject (``(w * r) mod 2**32 < r``, about r / 2**32 per
+    word): then the state is restored and the per-row calls run instead, as
+    they do for a count above ``_FLOYD_MAX``.
+    """
+    n = len(counts)
+    if n == 0 or k == 0 or counts.max() > _FLOYD_MAX:
+        return _choice_loop(counts, k, rng)
+    # The ranges of each row's draws, in order: Floyd's k, then the shuffle's k-1.
+    ranges = np.empty((n, 2 * k - 1), dtype=np.uint64)
+    ranges[:, :k] = counts[:, None] + np.arange(1 - k, 1)
+    ranges[:, k:] = np.arange(k, 1, -1)
+    drawn = ranges > 1  # only Floyd's first draw, where count == k, takes no word
+    saved = rng.bit_generator.state
+    words = np.zeros(ranges.shape, dtype=np.uint64)
+    words[drawn] = rng.integers(0, 2**32, size=np.count_nonzero(drawn), dtype=np.uint32)
+    words *= ranges
+    if (((words & 0xFFFFFFFF) < ranges) & drawn).any():
+        rng.bit_generator.state = saved
+        return _choice_loop(counts, k, rng)
+    # Draw by draw across the rows: values[t] holds draw t of every row.
+    values = (words >> 32).T.astype(np.intp)
+    take = values[:k].copy()
+    for t in range(1, k):  # Floyd: a value already taken becomes count-k+t
+        np.copyto(take[t], counts - k + t, where=(take[:t] == take[t]).any(axis=0))
+    rows = np.arange(n)
+    for i, j in zip(range(k - 1, 0, -1), values[k:]):  # swap positions i and j
+        swapped = take[j, rows]
+        take[j, rows] = take[i]
+        take[i] = swapped
+    return take.T.copy()
+
+
+def _choice_loop(counts, k, rng):
+    take = np.empty((len(counts), k), dtype=np.intp)
+    for row, count in enumerate(counts.tolist()):
+        take[row] = rng.choice(count, size=k, replace=False)
+    return take
 
 
 def build_prototype_batch(encoded):

@@ -51,7 +51,8 @@ def save_dataset(path, dataset):
 
 def load_dataset(path):
     """The dataset of a file ``save_dataset`` wrote; a line that is not an
-    integer label and numbers is a ValueError that names it."""
+    integer label and numbers, or whose feature count is not the first
+    line's (at least one), is a ValueError that names it."""
     labels = []
     rows = []
     with open(path) as fh:
@@ -65,6 +66,10 @@ def load_dataset(path):
             except (IndexError, ValueError):
                 raise ValueError(f"{path}: line {number}: expected 'LABEL FEATURE...', an "
                                  f"integer label and numbers, got {line.strip()!r}") from None
+            width = len(rows[0])
+            if len(rows[-1]) != width or not width:
+                raise ValueError(f"{path}: line {number}: expected {width or 'one or more'} "
+                                 f"features, got {len(rows[-1])}")
     return synth.LabeledDataset(np.array(rows), np.array(labels))
 
 

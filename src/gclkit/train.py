@@ -75,6 +75,17 @@ class TrainConfig:
             raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {', '.join(KINDS)}")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0 (0 = off)")
+        for name in ("hidden_dim", "embedding_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "momentum"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        # train() clamps gamma to GAMMA_MIN only after a step: a smaller start
+        # would train that step with inverted similarities.
+        if self.kernel == "affine-cosine" and not self.gamma >= GAMMA_MIN:
+            raise ValueError(f"gamma must be >= {GAMMA_MIN} for the affine-cosine kernel, "
+                             f"got {self.gamma}")
 
 
 @dataclass

@@ -260,6 +260,11 @@ class TestCommands:
         ("train.eval_every = -2", "eval_every must be >= 0"),
         ("train.steps = -3", "steps must be >= 0"),
         ("train.mode = unsupervised\ntrain.batch_slots = 0", "batch_slots must be >= 1"),
+        ("train.hidden_dim = 0", "hidden_dim must be >= 1, got 0"),
+        ("train.embedding_dim = 0", "embedding_dim must be >= 1, got 0"),
+        ("train.lr = nan", "lr must be finite, got nan"),
+        ("train.momentum = inf", "momentum must be finite, got inf"),
+        ("kernel.gamma = -3", "gamma must be >= 0.001 for the affine-cosine kernel, got -3.0"),
     ])
     def test_train_rejects_bad_setting(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, SMALL_CFG + line + "\n")
@@ -347,10 +352,13 @@ class TestCommands:
             f"from 0 to 23, got {line!r}\n")
 
     @pytest.mark.parametrize("command, name", [("train", "train.txt"), ("eval", "holdout.txt")])
-    @pytest.mark.parametrize("edit", ["blank line", "feature not a number"])
+    @pytest.mark.parametrize("edit", ["blank line", "feature not a number", "row too short",
+                                      "labels only"])
     def test_dataset_errors_name_the_line(self, tmp_path, capsys, command, name, edit):
-        # A blank line used to end in an IndexError traceback and exit 1, and
-        # a feature that is not a number in a float error without the file.
+        # A blank line used to end in an IndexError traceback and exit 1, a
+        # feature that is not a number in a float error without the file, a
+        # short row in numpy's "inhomogeneous shape" error without the file,
+        # and a file of labels alone loaded as zero features and trained.
         cfg = write_config(tmp_path, SMALL_CFG)
         out = tmp_path / "run"
         base = ["--config", str(cfg), "--out", str(out)]
@@ -358,17 +366,24 @@ class TestCommands:
         assert cli.main(["train"] + base) == 0
         path = out / name
         lines = path.read_text().splitlines(keepends=True)
+        values = lines[3].split()
+        line, message = 4, ("expected 'LABEL FEATURE...', an integer label and numbers, "
+                            "got {!r}")
         if edit == "blank line":
             lines.insert(3, "\n")
-        else:
-            values = lines[3].split()
+        elif edit == "feature not a number":
             lines[3] = " ".join(values[:2] + ["abc"] + values[3:]) + "\n"
+        elif edit == "row too short":
+            lines[3] = " ".join(values[:-1]) + "\n"
+            message = "expected 8 features, got 7"
+        else:
+            lines[1:] = [row.split()[0] + "\n" for row in lines[1:]]
+            line, message = 2, "expected one or more features, got 0"
         path.write_text("".join(lines))
         capsys.readouterr()
         assert cli.main([command] + base) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: line 4: expected 'LABEL FEATURE...', an integer label and "
-            f"numbers, got {lines[3].strip()!r}\n")
+            f"error: {path}: line {line}: {message.format(lines[3].strip())}\n")
 
     def test_train_steps_zero_checkpoint_equals_init(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CFG + "train.steps = 0\n")

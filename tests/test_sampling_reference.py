@@ -162,6 +162,95 @@ class TestTwoStepSample:
         assert str(got.value) == str(want.value)
 
 
+def assert_matches_reference(ds, n, k, ra, rb):
+    """The library and the reference give the same sample from generators
+    in the same state, and leave them in the same state."""
+    want = reference_two_step_sample(ds, n, k, ra)
+    got = batching.two_step_sample(ds, n, k, rb)
+    assert np.array_equal(got.samples, want.samples)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.samples.shape == (n, k, ds.features.shape[1])
+    assert_same_state(ra, rb)
+
+
+def generator_pair(bit_generator, seed):
+    return (np.random.Generator(bit_generator(seed)),
+            np.random.Generator(bit_generator(seed)))
+
+
+class TestBulkReplay:
+    """``two_step_sample`` draws every class's rows with one bulk draw of
+    32-bit words, replaying numpy's per-class ``rng.choice`` calls."""
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                               np.random.SFC64, np.random.PCG64DXSM])
+    @pytest.mark.parametrize("name", sorted(POOLS))
+    def test_other_bit_generators(self, bit_generator, name):
+        ds = POOLS[name]
+        counts = np.unique(ds.labels, return_counts=True)[1]
+        for seed in range(6):
+            for n, k in ((1, 2), (len(counts) // 2, 2), (3, 3), (2, 4)):
+                if np.count_nonzero(counts >= k) >= n:
+                    assert_matches_reference(ds, n, k, *generator_pair(bit_generator, seed))
+
+    @pytest.mark.parametrize("n_classes, rows, n", [(128, 12, 128), (128, 12, 13),
+                                                    (48, 20, 13), (48, 20, 48)])
+    def test_benchmark_shapes_take_no_per_class_call(self, monkeypatch, n_classes, rows, n):
+        ds = shuffled_pool(np.full(n_classes, rows), np.arange(n_classes) * 5 - 60, 4)
+
+        def per_class_calls(counts, k, rng):
+            raise AssertionError("the per-class calls ran")
+
+        for seed in range(10):
+            ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+            with monkeypatch.context() as m:
+                m.setattr(batching, "_choice_loop", per_class_calls)
+                assert_matches_reference(ds, n, 3, ra, rb)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_classes_of_exactly_k_rows_beside_larger_ones(self, k):
+        # Where count == k, Floyd's first draw is over one value and takes no word.
+        ds = shuffled_pool([2, 3, 4, 5, 6, 2, 3, 4, 5, 9], [8, 1, 6, 3, 0, 2, 7, 4, 9, 5], 5)
+        counts = np.bincount(ds.labels)
+        n = int(np.count_nonzero(counts >= k))  # every eligible class
+        assert (counts == k).any() and (counts > k).any()
+        for seed in range(20):
+            assert_matches_reference(ds, n, k, np.random.default_rng(seed),
+                                     np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("n, k", [(0, 0), (0, 3), (3, 0), (5, 0), (3, 1), (6, 1)])
+    def test_no_classes_no_rows_and_one_row(self, n, k):
+        ds = POOLS["unsorted-negative"]  # sizes 3, 5, 2, 6, 4, 3
+        for seed in range(12):
+            assert_matches_reference(ds, n, k, np.random.default_rng(seed),
+                                     np.random.default_rng(seed))
+        one_row = pool([4, 9, 9, 2, 7, 7, 7])  # classes of 1, 2 and 3 rows
+        for seed in range(12):
+            assert_matches_reference(one_row, min(n, 4), k, np.random.default_rng(seed),
+                                     np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("rows", [10000, 10001])
+    def test_largest_class_for_floyd_and_the_tail_shuffle_past_it(self, rows):
+        # numpy samples a population above 10000 by shuffling the tail of an
+        # arange when k > count // 50: 10001 rows with k = 300 take that branch.
+        ds = pool(np.repeat([0, 1], [rows, 400]))
+        for seed in range(3):
+            assert_matches_reference(ds, 2, 300, np.random.default_rng(seed),
+                                     np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 20])
+    def test_word_numpy_rejects_falls_back_to_the_calls(self, k):
+        # A PCG64 holding a buffered word of 0: that is the next 32-bit word.
+        # One class, so the class draw takes no word; the first row draw then
+        # gets 0, which Lemire's bounded draw rejects and redraws (k < 20).
+        ds = pool(np.zeros(20, dtype=int))
+        ra, rb = generator_pair(np.random.PCG64, k)
+        state = ra.bit_generator.state
+        state.update(has_uint32=1, uinteger=0)
+        ra.bit_generator.state = rb.bit_generator.state = state
+        assert_matches_reference(ds, 1, k, ra, rb)
+
+
 class TestClassIndex:
     def test_labels_read_only_caller_array_writable(self):
         labels = np.array([3, 1, 3, 2])

@@ -64,6 +64,33 @@ class TestConfigValidation:
         assert training.batch_composition(one) == (0, 1)
 
 
+    @pytest.mark.parametrize("name", ["hidden_dim", "embedding_dim"])
+    def test_layer_widths_at_least_one(self, name):
+        # A width of 0 used to train with a constant loss and a divide-by-zero warning.
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            training.TrainConfig(**{name: 0})
+        assert getattr(training.TrainConfig(**{name: 1}), name) == 1
+
+    @pytest.mark.parametrize("name", ["lr", "momentum"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_lr_and_momentum_finite(self, name, value):
+        # A non-finite value used to fail at step 0 with "non-finite embedding values".
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            training.TrainConfig(**{name: value})
+
+    def test_zero_lr_stays_legal(self):
+        assert training.TrainConfig(lr=0.0, momentum=0.0).lr == 0.0
+
+    @pytest.mark.parametrize("gamma", [-3.0, 0.0, GAMMA_MIN / 2, np.nan])
+    def test_affine_cosine_gamma_floor(self, gamma):
+        # gamma -3 used to train its first step with inverted similarities,
+        # clamped to GAMMA_MIN only after it.
+        with pytest.raises(ValueError, match="gamma must be >= 0.001 for the affine-cosine"):
+            training.TrainConfig(kernel="affine-cosine", gamma=gamma)
+        assert training.TrainConfig(kernel="affine-cosine", gamma=GAMMA_MIN).gamma == GAMMA_MIN
+        assert training.TrainConfig(kernel="sq-euclid", gamma=gamma).kernel == "sq-euclid"
+
+
 class TestBatchComposition:
     def test_supervised_all_labeled(self):
         n, n_unl = training.batch_composition(small_config())
