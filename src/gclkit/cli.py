@@ -21,7 +21,8 @@ from . import evaluate as ev
 from . import synth, verify
 from .config import SplitConfig, build, format_defaults, load_config
 from .encoder import Encoder
-from .kernels import KernelParams
+from .kernels import KINDS, KernelParams
+from .records import Records
 from .train import TrainConfig, substream, train
 
 CSV_SCHEMA = "gclkit-metrics v1"
@@ -50,26 +51,23 @@ def save_dataset(path, dataset):
 
 
 def load_dataset(path):
-    """The dataset of a file ``save_dataset`` wrote; a line that is not an
-    integer label and numbers, or whose feature count is not the first
-    line's (at least one), is a ValueError that names it."""
-    labels = []
-    rows = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            if line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                labels.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}: line {number}: expected 'LABEL FEATURE...', an "
-                                 f"integer label and numbers, got {line.strip()!r}") from None
-            width = len(rows[0])
-            if len(rows[-1]) != width or not width:
-                raise ValueError(f"{path}: line {number}: expected {width or 'one or more'} "
-                                 f"features, got {len(rows[-1])}")
+    """The dataset of a ``save_dataset`` file; a record that is not an integer
+    label and as many numbers as the first record's (at least one), or a file
+    of none, is a ValueError naming the line."""
+    expected = "expected 'LABEL FEATURE...', an integer label and numbers"
+    labels, rows = [], []
+    records = Records(path)
+    for number, fields, text in records:
+        try:
+            labels.append(int(fields[0]))
+            rows.append([float(v) for v in fields[1:]])
+        except ValueError:
+            raise records.error(number, expected, text) from None
+        if len(rows[-1]) != len(rows[0]) or not rows[0]:
+            raise records.error(number, f"expected {len(rows[0]) or 'one or more'} features",
+                                len(rows[-1]))
+    if not rows:
+        raise records.error(records.end, expected, None)
     return synth.LabeledDataset(np.array(rows), np.array(labels))
 
 
@@ -90,48 +88,56 @@ def save_checkpoint(path, encoder, kernel_params, mode):
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_checkpoint(path):
-    """(encoder, kernel params, meta) of a checkpoint, written into a new encoder's views.
+# What each meta value but the mode must be, and its test.
+_META = {
+    "kind": ("one of " + ", ".join(KINDS), lambda v: v in KINDS),
+    "tau": ("a positive number", lambda v: float(v) > 0),
+    **dict.fromkeys(("f_in", "hidden", "d_out"),
+                    ("a whole number from 1", lambda v: v.isdigit() and int(v) > 0)),
+}
 
-    A missing meta key or tensor, or a tensor whose shape is not the
-    encoder's, is a ValueError that names it; a tensor header or row that
-    cannot be read is one that names its line.
-    """
+
+def load_checkpoint(path):
+    """(encoder, kernel params, meta) of a checkpoint, written into a new encoder's views; a
+    ValueError names a missing meta key or tensor, a tensor of a shape not the encoder's,
+    or the line of a record that cannot be read."""
     with open(path) as fh:
-        header = fh.readline()
-        if CKPT_SCHEMA not in header:
+        if CKPT_SCHEMA not in fh.readline():
             raise ValueError(f"not a {CKPT_SCHEMA} file: {path}")
-        line = fh.readline()
-        tokens = line.split()
-        if tokens[:1] != ["meta"] or not all("=" in kv for kv in tokens[1:]):
-            raise ValueError(f"{path}: line 2: expected 'meta KEY=VALUE...', got {line.strip()!r}")
-        meta = dict(kv.split("=", 1) for kv in tokens[1:])
+        records = Records(path, fh, start=2)
+        lines = iter(records)
+        number, fields, text = next(lines, None) or (records.end, [], None)
+        if fields[:1] != ["meta"] or not all("=" in kv for kv in fields[1:]):
+            raise records.error(number, "expected 'meta KEY=VALUE...'", text)
+        meta = dict(kv.split("=", 1) for kv in fields[1:])
+        missing = [k for k in ("mode", *_META) if k not in meta]
+        if missing:
+            raise ValueError(f"{path}: meta line has no {', '.join(k + '=' for k in missing)}")
+        for key, (want, valid) in _META.items():
+            try:
+                ok = valid(meta[key])
+            except ValueError:
+                ok = False
+            if not ok:
+                raise records.error(number, f"expected {key} to be {want}", f"{key}={meta[key]}")
         tensors = {}
-        lines = enumerate(fh, 3)
-        for number, line in lines:
-            head = line.split()
+        for number, head, text in lines:
             if (len(head) not in (3, 4) or head[0] != "tensor"
                     or not all(s.isdigit() for s in head[2:])):
-                raise ValueError(f"{path}: line {number}: expected 'tensor NAME ROWS [COLS]', "
-                                 f"got {line.strip()!r}")
+                raise records.error(number, "expected 'tensor NAME ROWS [COLS]'", text)
             name, shape = head[1], tuple(int(s) for s in head[2:])
             rows = []
-            for _ in range(shape[0] if len(shape) == 2 else 1):
-                number, line = next(lines, (number + 1, ""))
+            for row in range(1, 1 + (shape[0] if len(shape) == 2 else 1)):
+                number, values, text = next(lines, None) or (records.end, [], None)
+                what = f"row {row} of tensor {name}"
                 try:
-                    rows.append([float(v) for v in line.split()])
+                    rows.append([float(v) for v in values])
                 except ValueError:
-                    raise ValueError(f"{path}: line {number}: expected row {len(rows) + 1} of "
-                                     f"tensor {name} as numbers, got {line.strip()!r}") from None
+                    raise records.error(number, f"expected {what} as numbers", text) from None
                 if len(rows[-1]) != shape[-1]:
-                    raise ValueError(f"{path}: line {number}: row {len(rows)} of tensor {name} "
-                                     f"needs {shape[-1]} values, got "
-                                     f"{repr(line.strip()) if line else 'the end of the file'}")
+                    raise records.error(number, f"{what} needs {shape[-1]} values", text)
             tensors[name] = np.array(rows).reshape(shape)
-    missing = [k for k in ("mode", "kind", "tau", "f_in", "hidden", "d_out") if k not in meta]
-    if missing:
-        raise ValueError(f"{path}: meta line has no {', '.join(k + '=' for k in missing)}")
-    encoder = Encoder(int(meta["f_in"]), int(meta["hidden"]), int(meta["d_out"]),
+    encoder = Encoder(*(int(meta[k]) for k in ("f_in", "hidden", "d_out")),
                       np.random.default_rng(0))
     shapes = {k: v.shape for k, v in encoder.params.items()}
     for name, shape in {**shapes, "kernel.gamma": (1,), "kernel.beta": (1,)}.items():
@@ -140,13 +146,10 @@ def load_checkpoint(path):
         if tensors[name].shape != shape:
             raise ValueError(f"{path}: tensor {name} has shape {tensors[name].shape}, "
                              f"the encoder's is {shape}")
-    for k, view in encoder.params.items():
-        view[...] = tensors[k]
-    kernel = KernelParams(
-        kind=meta["kind"], tau=float(meta["tau"]),
-        gamma=float(tensors["kernel.gamma"][0]), beta=float(tensors["kernel.beta"][0]),
-        proj=tensors.get("kernel.proj"),
-    )
+    encoder.flat[:] = np.concatenate([tensors[k].ravel() for k in encoder.params])
+    kernel = KernelParams(kind=meta["kind"], tau=float(meta["tau"]),
+                          gamma=float(tensors["kernel.gamma"][0]),
+                          beta=float(tensors["kernel.beta"][0]), proj=tensors.get("kernel.proj"))
     return encoder, kernel, meta
 
 

@@ -7,7 +7,9 @@ Values are coerced to the type of the corresponding default.
 """
 
 from dataclasses import dataclass, fields
+from pathlib import Path
 
+from .records import Records
 from .synth import AugmentationSpec, SyntheticConfig
 from .train import TrainConfig
 
@@ -66,10 +68,6 @@ DEFAULTS = {key: {f.name: f.default for f in fields(cls)}[name]
             for key, (cls, name) in KEYS.items()}
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def build(cls, values, **overrides):
     """A ``cls`` whose keyed fields take their values from a parsed config.
 
@@ -92,32 +90,27 @@ def _coerce(default, raw):
     return raw
 
 
-def parse_config(text):
-    """Parse config text into a full key -> value dict (defaults filled in)."""
+def parse_config(text, path="<config>"):
+    """Config text as a full key -> value dict (defaults filled in); errors name ``path``."""
     values = dict(DEFAULTS)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, raw = (part.strip() for part in line.split("=", 1))
+    records = Records(path, text.splitlines())
+    for number, _, line in records:
+        key, eq, raw = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise records.error(number, "expected 'key = value'", line)
         if key not in DEFAULTS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise records.error(number, "unknown key; expected one of --print-defaults", key)
         default = DEFAULTS[key]
         try:
             values[key] = _coerce(default, raw)
         except ValueError:
             kind = "boolean" if isinstance(default, bool) else type(default).__name__
-            raise ConfigError(f"line {lineno}: {key}: expected {kind}, got {raw!r}") from None
+            raise records.error(number, f"{key}: expected {kind}", raw) from None
     return values
 
 
 def load_config(path=None):
-    if path is None:
-        return dict(DEFAULTS)
-    with open(path) as fh:
-        return parse_config(fh.read())
+    return dict(DEFAULTS) if path is None else parse_config(Path(path).read_text(), path)
 
 
 def format_defaults():

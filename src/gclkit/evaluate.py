@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .records import Records
+
 
 @dataclass(frozen=True)
 class TrialSet:
@@ -118,26 +120,22 @@ def save_trials(path, trials):
 
 
 def load_trials(path, n_utterances):
-    """The trials of a ``save_trials`` file, by id into ``n_utterances`` utterances.
-
-    Blank lines and ``#`` comments are skipped; any other line that is not a
-    label of 0 or 1 and two ids below ``n_utterances`` is a ValueError naming it.
-    """
+    """The trials of a ``save_trials`` file, by id into ``n_utterances`` utterances;
+    a record that is not a label of 0 or 1 and two ids below ``n_utterances``,
+    or a file of none, is a ValueError naming the line."""
+    expected = f"expected 'label idA idB', a label of 0 or 1 and ids from 0 to {n_utterances - 1}"
     rows = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            fields = line.split("#", 1)[0].split()
-            if not fields:
-                continue
-            try:
-                label, a, b = map(int, fields)
-                valid = label in (0, 1) and 0 <= min(a, b) and max(a, b) < n_utterances
-            except ValueError:
-                valid = False
-            if not valid:
-                raise ValueError(f"{path}: line {number}: expected 'label idA idB', a label of "
-                                 f"0 or 1 and ids from 0 to {n_utterances - 1}, "
-                                 f"got {line.strip()!r}")
-            rows.append((a, b, label))
-    rows = np.array(rows, dtype=int).reshape(-1, 3)
+    records = Records(path)
+    for number, fields, text in records:
+        try:
+            label, a, b = map(int, fields)
+            valid = label in (0, 1) and 0 <= min(a, b) and max(a, b) < n_utterances
+        except ValueError:
+            valid = False
+        if not valid:
+            raise records.error(number, expected, text)
+        rows.append((a, b, label))
+    if not rows:
+        raise records.error(records.end, expected, None)
+    rows = np.array(rows, dtype=int)
     return TrialSet(pairs=rows[:, :2], labels=rows[:, 2].astype(bool))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gclkit import cli, config
+from gclkit import evaluate as ev
 from gclkit import train as training
 from gclkit.encoder import Encoder
 from gclkit.kernels import KernelParams
@@ -61,15 +62,15 @@ class TestConfigParsing:
         assert values["train.lr"] == 0.1
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(config.ConfigError, match="unknown key"):
+        with pytest.raises(ValueError, match="unknown key"):
             config.parse_config("train.stepz = 10")
 
     def test_bad_boolean_rejected(self):
-        with pytest.raises(config.ConfigError, match="boolean"):
+        with pytest.raises(ValueError, match="boolean"):
             config.parse_config("affinity.relaxed_unlabeled = maybe")
 
     def test_missing_equals_rejected(self):
-        with pytest.raises(config.ConfigError, match="key = value"):
+        with pytest.raises(ValueError, match="key = value"):
             config.parse_config("train.steps 10")
 
     def test_format_defaults_round_trips(self):
@@ -110,11 +111,15 @@ MALFORMED_CHECKPOINTS = [
     ("no hidden=", "meta line has no hidden="),
     ("W1 too wide", r"tensor W1 has shape \(\d+, 3\), the encoder's is \(\d+, 5\)"),
     ("W1 truncated", r"\.txt: line 6: row 3 of tensor W1 needs 3 values, got the end of the file"),
-    ("blank line", r"\.txt: line \d+: expected 'tensor NAME ROWS \[COLS\]', got ''"),
     ("meta token without =",
      r"\.txt: line 2: expected 'meta KEY=VALUE\.\.\.', got 'meta .* hidden3 "),
     ("W1 value not a number",
      r"\.txt: line 5: expected row 2 of tensor W1 as numbers, got '\S+ x \S+'"),
+    ("tau=abc", r"\.txt: line 2: expected tau to be a positive number, got 'tau=abc'"),
+    ("f_in=x", r"\.txt: line 2: expected f_in to be a whole number from 1, got 'f_in=x'"),
+    ("kind=foo", r"\.txt: line 2: expected kind to be one of sq-euclid, cosine-temp, "
+                 r"affine-cosine, got 'kind=foo'"),
+    ("hidden=-1", r"\.txt: line 2: expected hidden to be a whole number from 1, got 'hidden=-1'"),
 ]
 
 
@@ -130,14 +135,15 @@ def malform(path, case):
     elif case == "W1 truncated":  # the file ends after the header and two rows of W1
         at = next(i for i, line in enumerate(lines) if line.startswith("tensor W1 "))
         del lines[at + 3:]
-    elif case == "blank line":
-        lines.insert(lines.index("tensor b1 3\n"), "\n")
     elif case == "meta token without =":
         lines[meta] = lines[meta].replace(" hidden=3", " hidden3")
     elif case == "W1 value not a number":  # the middle value of W1's second row
         at = next(i for i, line in enumerate(lines) if line.startswith("tensor W1 ")) + 2
         values = lines[at].split()
         lines[at] = f"{values[0]} x {values[2]}\n"
+    elif re.fullmatch(r"\w+=\S+", case):  # one meta value replaced
+        key = case.split("=")[0]
+        lines[meta] = re.sub(rf" {key}=\S+", f" {case}", lines[meta])
     else:  # the encoder has 5 hidden units, the tensors 3
         lines[meta] = lines[meta].replace(" hidden=3", " hidden=5")
     path.write_text("".join(lines))
@@ -188,6 +194,66 @@ class TestSerialization:
         malform(tmp_path / "c.txt", case)
         with pytest.raises(ValueError, match=message):
             cli.load_checkpoint(tmp_path / "c.txt")
+
+    def test_checkpoint_blank_line_loads_the_same(self, tmp_path):
+        # A blank line before a tensor header used to be rejected.
+        enc = Encoder(4, 3, 2, np.random.default_rng(0))
+        cli.save_checkpoint(tmp_path / "c.txt", enc, KernelParams("sq-euclid"), "supervised")
+        clean, params, meta = cli.load_checkpoint(tmp_path / "c.txt")
+        insert_blank_line(tmp_path / "c.txt", "tensor b1 3\n")
+        back, params2, meta2 = cli.load_checkpoint(tmp_path / "c.txt")
+        assert np.array_equal(back.flat, clean.flat)
+        assert (params2.gamma, params2.beta, meta2) == (params.gamma, params.beta, meta)
+
+
+def insert_blank_line(path, before):
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(lines.index(before), "\n")
+    path.write_text("".join(lines))
+
+
+def write_clean_file(kind, path):
+    ds = synth_dataset(SyntheticConfig(n_speakers=3, utterances_per_speaker=3, feature_dim=4))
+    if kind == "dataset":
+        cli.save_dataset(path, ds)
+    elif kind == "trials":
+        ev.save_trials(path, ev.build_trials(ds, 6, np.random.default_rng(0)))
+    elif kind == "checkpoint":
+        rng = np.random.default_rng(1)
+        params = KernelParams("cosine-temp", tau=0.25, proj=rng.normal(size=(2, 2)))
+        cli.save_checkpoint(path, Encoder(4, 3, 2, rng), params, "semi")
+    else:
+        path.write_text("train.steps = 7\nkernel.tau = 0.25\naugment.gain_low = 0.5\n"
+                        "train.mode = semi\n")
+
+
+def loaded_values(kind, path):
+    if kind == "dataset":
+        ds = cli.load_dataset(path)
+        return [ds.labels, ds.features]
+    if kind == "trials":
+        trials = ev.load_trials(path, 9)
+        return [trials.pairs, trials.labels]
+    if kind == "checkpoint":
+        enc, params, meta = cli.load_checkpoint(path)
+        return [enc.flat, params.proj, params.tau, params.gamma, params.beta, meta]
+    return [config.load_config(path)]
+
+
+@pytest.mark.parametrize("kind", ["dataset", "trials", "checkpoint", "config"])
+def test_comments_and_blank_lines_change_nothing(tmp_path, kind):
+    # One rule for every file: a full-line comment, an inline comment and a
+    # blank line in the middle load to the same values as the clean file.
+    path = tmp_path / "f.txt"
+    write_clean_file(kind, path)
+    clean = loaded_values(kind, path)
+    lines = path.read_text().splitlines(keepends=True)
+    mid = len(lines) // 2
+    lines[mid] = lines[mid].rstrip("\n") + "  # an inline comment\n"
+    lines[mid:mid] = ["# a full-line comment\n", "\n"]
+    path.write_text("".join(lines))
+    for got, want in zip(loaded_values(kind, path), clean, strict=True):
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
 
 
 class TestSplitDataset:
@@ -286,6 +352,8 @@ class TestCommands:
         cfg = write_config(tmp_path, "# defaults but one\n" + line + "\n")
         out = tmp_path / "o"
         assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        if message.startswith("line "):
+            message = f"error: {cfg}: {message}"
         assert message in capsys.readouterr().err
         assert not (out / "train.txt").exists()
 
@@ -330,6 +398,19 @@ class TestCommands:
         assert err.startswith("error: ") and re.search(message, err)
         assert not (out / "eer.txt").exists()
 
+    def test_eval_reads_checkpoint_with_blank_line(self, tmp_path, capsys):
+        # A blank line before a tensor header used to be rejected.
+        cfg = write_config(tmp_path, SMALL_CFG + "train.steps = 0\ntrain.hidden_dim = 3\n")
+        out = tmp_path / "run"
+        base = ["--config", str(cfg), "--out", str(out)]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["train"] + base) == 0
+        assert cli.main(["eval"] + base) == 0
+        clean = (out / "eer.txt").read_text()
+        insert_blank_line(out / "checkpoint.txt", "tensor b1 3\n")
+        assert cli.main(["eval"] + base) == 0
+        assert (out / "eer.txt").read_text() == clean
+
     @pytest.mark.parametrize("command", ["eval", "train"])
     @pytest.mark.parametrize("line", ["1 0 24", "0 -1 5", "7 0 5", "1 0", "1 0 2.5"])
     def test_trial_file_errors_name_the_line(self, tmp_path, capsys, command, line):
@@ -352,13 +433,11 @@ class TestCommands:
             f"from 0 to 23, got {line!r}\n")
 
     @pytest.mark.parametrize("command, name", [("train", "train.txt"), ("eval", "holdout.txt")])
-    @pytest.mark.parametrize("edit", ["blank line", "feature not a number", "row too short",
-                                      "labels only"])
+    @pytest.mark.parametrize("edit", ["feature not a number", "row too short", "labels only"])
     def test_dataset_errors_name_the_line(self, tmp_path, capsys, command, name, edit):
-        # A blank line used to end in an IndexError traceback and exit 1, a
-        # feature that is not a number in a float error without the file, a
-        # short row in numpy's "inhomogeneous shape" error without the file,
-        # and a file of labels alone loaded as zero features and trained.
+        # A feature that is not a number used to end in a float error without
+        # the file, a short row in numpy's "inhomogeneous shape" error without
+        # the file, and a file of labels alone loaded as zero features and trained.
         cfg = write_config(tmp_path, SMALL_CFG)
         out = tmp_path / "run"
         base = ["--config", str(cfg), "--out", str(out)]
@@ -369,9 +448,7 @@ class TestCommands:
         values = lines[3].split()
         line, message = 4, ("expected 'LABEL FEATURE...', an integer label and numbers, "
                             "got {!r}")
-        if edit == "blank line":
-            lines.insert(3, "\n")
-        elif edit == "feature not a number":
+        if edit == "feature not a number":
             lines[3] = " ".join(values[:2] + ["abc"] + values[3:]) + "\n"
         elif edit == "row too short":
             lines[3] = " ".join(values[:-1]) + "\n"
@@ -384,6 +461,56 @@ class TestCommands:
         assert cli.main([command] + base) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: line {line}: {message.format(lines[3].strip())}\n")
+
+    @pytest.mark.parametrize("command, name", [("train", "train.txt"), ("eval", "holdout.txt")])
+    def test_dataset_blank_line_loads_the_same(self, tmp_path, command, name):
+        # A blank line used to end in an IndexError traceback and exit 1.
+        cfg = write_config(tmp_path, SMALL_CFG)
+        out = tmp_path / "run"
+        base = ["--config", str(cfg), "--out", str(out)]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["train"] + base) == 0
+        path = out / name
+        clean = cli.load_dataset(path)
+        lines = path.read_text().splitlines(keepends=True)
+        insert_blank_line(path, lines[3])
+        back = cli.load_dataset(path)
+        assert np.array_equal(back.features, clean.features)
+        assert np.array_equal(back.labels, clean.labels)
+        assert cli.main([command] + base) == 0
+
+    @pytest.mark.parametrize("command, name", [("train", "train.txt"), ("eval", "holdout.txt")])
+    def test_dataset_without_rows_names_the_file(self, tmp_path, capsys, command, name):
+        # A header alone used to load as features of shape (0,) and end
+        # `train` in an IndexError traceback and exit 1.
+        cfg = write_config(tmp_path, SMALL_CFG)
+        out = tmp_path / "run"
+        base = ["--config", str(cfg), "--out", str(out)]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["train"] + base) == 0
+        path = out / name
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        capsys.readouterr()
+        assert cli.main([command] + base) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 2: expected 'LABEL FEATURE...', an integer label and numbers, "
+            f"got the end of the file\n")
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_empty_trial_file_names_the_file(self, tmp_path, capsys, command):
+        # An empty trial file used to give "trial set is empty" without the file.
+        cfg = write_config(tmp_path, SMALL_CFG + "train.eval_every = 4\n")
+        out = tmp_path / "run"
+        base = ["--config", str(cfg), "--out", str(out)]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["train"] + base) == 0
+        trials = out / "trials.txt"
+        trials.write_text("# no trials\n")
+        capsys.readouterr()
+        assert cli.main([command] + base) == 2
+        assert capsys.readouterr().err == (
+            f"error: {trials}: line 2: expected 'label idA idB', a label of 0 or 1 and ids "
+            f"from 0 to 23, got the end of the file\n")
 
     def test_train_steps_zero_checkpoint_equals_init(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CFG + "train.steps = 0\n")
