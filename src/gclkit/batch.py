@@ -183,14 +183,14 @@ def _choice_rows(counts, k, rng):
     ranges[:, k:] = np.arange(k, 1, -1)
     drawn = ranges > 1  # only Floyd's first draw, where count == k, takes no word
     saved = rng.bit_generator.state
-    words = np.zeros(ranges.shape, dtype=np.uint64)
-    words[drawn] = rng.integers(0, 2**32, size=np.count_nonzero(drawn), dtype=np.uint32)
-    words *= ranges
-    if (((words & 0xFFFFFFFF) < ranges) & drawn).any():
+    words = rng.integers(0, 2**32, size=np.count_nonzero(drawn), dtype=np.uint32)
+    values = np.zeros(ranges.shape, dtype=np.intp)
+    values[drawn], may_reject = _lemire_draws(words, ranges[drawn])
+    if may_reject:
         rng.bit_generator.state = saved
         return _choice_loop(counts, k, rng)
     # Draw by draw across the rows: values[t] holds draw t of every row.
-    values = (words >> 32).T.astype(np.intp)
+    values = values.T
     take = values[:k].copy()
     for t in range(1, k):  # Floyd: a value already taken becomes count-k+t
         np.copyto(take[t], counts - k + t, where=(take[:t] == take[t]).any(axis=0))
@@ -200,6 +200,21 @@ def _choice_rows(counts, k, rng):
         take[j, rows] = take[i]
         take[i] = swapped
     return take.T.copy()
+
+
+def _lemire_draws(words, ranges):
+    """``(values, may_reject)`` of bounded draws decoded from 32-bit words.
+
+    Value i is Lemire's ``(w * r) >> 32`` of word w over its range of r
+    values (``words`` and ``ranges`` broadcast): the draw numpy's bounded
+    integers make from one word of the generator's ``next_uint32`` stream.
+    ``may_reject`` is whether any word meets ``(w * r) mod 2**32 < r``, a
+    superset of the words that draw rejects and replaces with the next one;
+    where it is False, every draw took exactly its one word.
+    """
+    ranges = np.asarray(ranges, dtype=np.uint64)
+    m = words.astype(np.uint64) * ranges
+    return (m >> 32).astype(np.intp), bool(((m & 0xFFFFFFFF) < ranges).any())
 
 
 def _choice_loop(counts, k, rng):

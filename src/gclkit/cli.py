@@ -99,8 +99,9 @@ _META = {
 
 def load_checkpoint(path):
     """(encoder, kernel params, meta) of a checkpoint, written into a new encoder's views; a
-    ValueError names a missing meta key or tensor, a tensor of a shape not the encoder's,
-    or the line of a record that cannot be read."""
+    ValueError names a missing meta key or tensor, a tensor of a shape not the encoder's
+    (a cosine-temp checkpoint's ``kernel.proj`` is (d_out, d_out)), or the line of a
+    record that cannot be read."""
     with open(path) as fh:
         if CKPT_SCHEMA not in fh.readline():
             raise ValueError(f"not a {CKPT_SCHEMA} file: {path}")
@@ -140,7 +141,10 @@ def load_checkpoint(path):
     encoder = Encoder(*(int(meta[k]) for k in ("f_in", "hidden", "d_out")),
                       np.random.default_rng(0))
     shapes = {k: v.shape for k, v in encoder.params.items()}
-    for name, shape in {**shapes, "kernel.gamma": (1,), "kernel.beta": (1,)}.items():
+    shapes.update({"kernel.gamma": (1,), "kernel.beta": (1,)})
+    if meta["kind"] == "cosine-temp":
+        shapes["kernel.proj"] = (encoder.d_out, encoder.d_out)
+    for name, shape in shapes.items():
         if name not in tensors:
             raise ValueError(f"{path}: no tensor {name}")
         if tensors[name].shape != shape:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batch import _lemire_draws
 from .records import Records
 
 
@@ -86,17 +87,74 @@ def build_trials(dataset, n_pairs, rng):
     """Balanced same/different-speaker pairs from a ``LabeledDataset``, by utterance id.
 
     The first ``n_pairs // 2`` pairs are target pairs: two distinct
-    utterances of one speaker drawn among those with at least two.
+    utterances of one speaker drawn among those with at least two. The pairs
+    and the final state of ``rng`` are those of ``_trial_loop``'s draws, trial
+    by trial: for a target trial ``rng.integers(0, n_speakers)`` (drawn again
+    while that speaker has fewer than 2 utterances), then
+    ``rng.choice(count, 2, replace=False)``; for a non-target trial
+    ``rng.choice(n_speakers, 2, replace=False)``, then one
+    ``rng.integers(0, count)`` per chosen speaker.
+
+    Each of those draws over r values is Lemire's ``(w * r) >> 32`` of one
+    32-bit word w (see ``batch._choice_rows``), so with at least 3 speakers
+    and at least 3 utterances per speaker every trial takes a fixed set of
+    words, and one bulk draw covers the whole list. A target trial takes 4:
+    the speaker over n_speakers, Floyd's two utterance draws over count - 1
+    and count, and the shuffle's over 2. A non-target trial takes 5: Floyd's
+    two speaker draws over n_speakers - 1 and n_speakers, the shuffle's over
+    2, and one utterance over each chosen speaker's count. The loop runs
+    instead where the number of words depends on the data (fewer speakers or
+    utterances), and, with the state restored, where a word is one Lemire's
+    draw may reject.
     """
     speakers, counts, order, starts = dataset.class_index
-    n_speakers = len(speakers)
-    if n_speakers < 2:
+    if len(speakers) < 2:
         raise ValueError("need at least 2 speakers for trials")
     n_target = n_pairs // 2
-    counts, starts = counts.tolist(), starts.tolist()
-    if n_target and max(counts) < 2:
+    if n_target and counts.max() < 2:
         raise ValueError("target trials need a speaker with at least 2 utterances")
-    # Positions in ``order``; rng.integers(0, n) is the stream of rng.choice(n).
+    if n_pairs < 1:
+        raise ValueError("trial set is empty")
+    positions = _trial_positions(counts, starts, n_target, n_pairs - n_target, rng)
+    return TrialSet(pairs=order[positions], labels=np.arange(n_pairs) < n_target)
+
+
+def _trial_positions(counts, starts, n_target, n_non, rng):
+    """The (n_target + n_non, 2) positions in the class index's ``order`` that
+    ``_trial_loop`` draws, decoded from one bulk draw where that is exact."""
+    n = len(counts)
+    if n < 3 or counts.min() < 3:
+        return _trial_loop(counts, starts, n_target, n_non, rng)
+    saved = rng.bit_generator.state
+    words = rng.integers(0, 2**32, size=4 * n_target + 5 * n_non, dtype=np.uint32)
+    target, other = words[:4 * n_target].reshape(-1, 4), words[4 * n_target:].reshape(-1, 5)
+    s, reject_s = _lemire_draws(target[:, 0], n)
+    c = counts[s]
+    draws, reject_c = _lemire_draws(target[:, 1:], np.stack([c - 1, c, np.full_like(c, 2)], 1))
+    i, j = _choice_pair(*draws.T, c)
+    draws, reject_n = _lemire_draws(other[:, :3], [n - 1, n, 2])
+    s1, s2 = _choice_pair(*draws.T, n)
+    u, reject_u = _lemire_draws(other[:, 3:], np.stack([counts[s1], counts[s2]], 1))
+    if reject_s or reject_c or reject_n or reject_u:
+        rng.bit_generator.state = saved
+        return _trial_loop(counts, starts, n_target, n_non, rng)
+    return np.stack([np.concatenate([starts[s] + i, starts[s1] + u[:, 0]]),
+                     np.concatenate([starts[s] + j, starts[s2] + u[:, 1]])], 1)
+
+
+def _choice_pair(first, second, swap, population):
+    """``rng.choice(population, 2, replace=False)`` from its three draws: Floyd's
+    over population - 1 and population (a value already taken becomes
+    population - 1), then the shuffle's over 2 (a 0 swaps the two)."""
+    second = np.where(second == first, population - 1, second)
+    return np.where(swap == 0, second, first), np.where(swap == 0, first, second)
+
+
+def _trial_loop(counts, starts, n_target, n_non, rng):
+    """The positions of ``_trial_positions``, drawn trial by trial."""
+    n_speakers = len(counts)
+    counts, starts = counts.tolist(), starts.tolist()
+    # rng.integers(0, n) is the stream of rng.choice(n).
     pairs = []
     for _ in range(n_target):
         s = rng.integers(0, n_speakers)
@@ -104,12 +162,11 @@ def build_trials(dataset, n_pairs, rng):
             s = rng.integers(0, n_speakers)
         i, j = rng.choice(counts[s], size=2, replace=False).tolist()
         pairs.append((starts[s] + i, starts[s] + j))
-    for _ in range(n_pairs - n_target):
+    for _ in range(n_non):
         s1, s2 = rng.choice(n_speakers, size=2, replace=False).tolist()
         pairs.append((starts[s1] + rng.integers(0, counts[s1]),
                       starts[s2] + rng.integers(0, counts[s2])))
-    pairs = order[np.array(pairs, dtype=int)]
-    return TrialSet(pairs=pairs, labels=np.arange(len(pairs)) < n_target)
+    return np.array(pairs, dtype=int)
 
 
 def save_trials(path, trials):

@@ -398,6 +398,35 @@ class TestCommands:
         assert err.startswith("error: ") and re.search(message, err)
         assert not (out / "eer.txt").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ("no kernel.proj", r"checkpoint\.txt: no tensor kernel\.proj$"),
+        ("kernel.proj too narrow",
+         r"checkpoint\.txt: tensor kernel\.proj has shape \(4, 3\), the encoder's is \(4, 4\)$"),
+    ], ids=["no kernel.proj", "kernel.proj too narrow"])
+    def test_eval_rejects_cosine_temp_checkpoint_projection(self, tmp_path, capsys, edit,
+                                                            message):
+        # Without kernel.proj the error used to come from KernelParams without the
+        # file, and a (4, 3) projection for d_out = 4 used to load.
+        cfg = write_config(tmp_path, SMALL_CFG + "train.steps = 0\ntrain.kernel = cosine-temp\n")
+        out = tmp_path / "run"
+        base = ["--config", str(cfg), "--out", str(out)]
+        assert cli.main(["synth"] + base) == 0
+        assert cli.main(["train"] + base) == 0
+        capsys.readouterr()
+        path = out / "checkpoint.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        at = lines.index("tensor kernel.proj 4 4\n")
+        if edit == "no kernel.proj":
+            del lines[at:at + 5]
+        else:  # the last column dropped
+            lines[at] = "tensor kernel.proj 4 3\n"
+            lines[at + 1:at + 5] = [" ".join(row.split()[:3]) + "\n" for row in lines[at + 1:at + 5]]
+        path.write_text("".join(lines))
+        assert cli.main(["eval"] + base) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err.strip())
+        assert not (out / "eer.txt").exists()
+
     def test_eval_reads_checkpoint_with_blank_line(self, tmp_path, capsys):
         # A blank line before a tensor header used to be rejected.
         cfg = write_config(tmp_path, SMALL_CFG + "train.steps = 0\ntrain.hidden_dim = 3\n")

@@ -21,13 +21,24 @@ EER moved. All six digests moved. The earlier digests dated from the
 support-block evaluation (``semi`` and ``semi-relaxed-cosine`` from the
 one-pass feature pool). A deliberate numeric change must recapture the
 digests it moves and say why.
+
+Two trial lists are pinned the same way, as the text ``save_trials`` writes:
+the ``trials.txt`` of ``gclkit synth --seed 1`` (400 pairs over 16 held-out
+speakers of 20 utterances) and the 20000 pairs that the ``wide`` benchmark
+workload draws over its 80 held-out speakers of 12 utterances. Their
+digests date from the per-trial draw loop, before ``build_trials`` decoded
+the list from one bulk draw of words: the bulk draw must give the same
+pairs.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from gclkit import cli
+from gclkit import evaluate as ev
+from gclkit.synth import SyntheticConfig, synth_dataset
 
 CONFIGS = {
     "supervised-type3": ("supervised", ""),
@@ -86,3 +97,26 @@ def run_digests(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_run(tmp_path, name):
     assert run_digests(tmp_path, name) == GOLDEN[name]
+
+
+# name -> sha256 of the trial list's save_trials text
+GOLDEN_TRIALS = {
+    "synth": "d8ec328d83e9ba55a69eabd5c6b810a42674505ce70e908f0bdcf1dee08be5df",
+    "wide": "861e77b399c3b47278c90773514a4e926daa698854975d269c0c8b096b67a476",
+}
+
+
+def test_golden_synth_trials(tmp_path):
+    assert cli.main(["synth", "--seed", "1", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "trials.txt").read_bytes()).hexdigest()
+    assert digest == GOLDEN_TRIALS["synth"]
+
+
+def test_golden_wide_trials(tmp_path):
+    dataset = synth_dataset(SyntheticConfig(n_speakers=400, utterances_per_speaker=12, seed=1),
+                            np.random.default_rng([1, 0]))
+    _, held = cli.split_dataset(dataset, 80, 1)
+    ev.save_trials(tmp_path / "trials.txt",
+                   ev.build_trials(held, 20000, cli.substream(1, "trials")))
+    digest = hashlib.sha256((tmp_path / "trials.txt").read_bytes()).hexdigest()
+    assert digest == GOLDEN_TRIALS["wide"]

@@ -18,6 +18,7 @@ from gclkit import batch as batching
 from gclkit import evaluate as ev
 from gclkit import synth
 from gclkit.synth import AugmentationSpec, LabeledDataset
+from gclkit.train import substream
 
 
 def reference_two_step_sample(dataset, n, k, rng):
@@ -332,6 +333,42 @@ class TestViews:
             assert_same_state(ra, rb)
 
 
+def assert_trials_match_reference(ds, n_pairs, ra, rb):
+    want = reference_build_trials(ds, n_pairs, ra)
+    got = ev.build_trials(ds, n_pairs, rb)
+    assert np.array_equal(got.pairs, want.pairs)
+    assert np.array_equal(got.labels, want.labels)
+    assert_same_state(ra, rb)
+
+
+def no_trial_loop(*args):
+    raise AssertionError("the per-trial loop ran")
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64,
+                  np.random.PCG64DXSM]
+
+# At least 3 speakers, each of at least 3 utterances: every trial takes a fixed set of words.
+BULK_POOLS = {
+    "contiguous": POOLS["contiguous"],
+    "three-speakers": shuffled_pool([3, 9, 4], [6, -2, 11], 6),
+    "uneven": shuffled_pool(np.arange(40) % 9 + 3, np.arange(40) * 7 - 50, 7),
+}
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """The calls of the per-trial loop, which still runs."""
+    calls, loop = [], ev._trial_loop
+
+    def counted_loop(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(ev, "_trial_loop", counted_loop)
+    return calls
+
+
 class TestBuildTrials:
     @pytest.mark.parametrize("name", sorted(POOLS))
     @pytest.mark.parametrize("n_pairs", [1, 2, 3, 401])
@@ -368,3 +405,70 @@ class TestBuildTrials:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("name", sorted(BULK_POOLS))
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3, 401])
+    def test_bulk_pools(self, monkeypatch, bit_generator, name, n_pairs):
+        monkeypatch.setattr(ev, "_trial_loop", no_trial_loop)
+        for seed in range(4):
+            assert_trials_match_reference(BULK_POOLS[name], n_pairs,
+                                          *generator_pair(bit_generator, seed))
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_bulk_pool_at_20001_pairs(self, monkeypatch, bit_generator):
+        monkeypatch.setattr(ev, "_trial_loop", no_trial_loop)
+        assert_trials_match_reference(BULK_POOLS["uneven"], 20001,
+                                      *generator_pair(bit_generator, 8))
+
+    @pytest.mark.parametrize("n_speakers, utterances, n_pairs, seeds", [
+        (80, 12, 20000, (1, 2)),  # wide: 80 held-out speakers of 12 utterances
+        (16, 20, 400, range(1, 11)),  # criterion 6's held-out sets
+    ])
+    def test_benchmark_shapes_take_no_per_trial_loop(self, monkeypatch, n_speakers, utterances,
+                                                     n_pairs, seeds):
+        ds = shuffled_pool(np.full(n_speakers, utterances), np.arange(n_speakers) * 3 + 1, 9)
+        monkeypatch.setattr(ev, "_trial_loop", no_trial_loop)
+        for seed in seeds:
+            assert_trials_match_reference(ds, n_pairs, substream(seed, "trials"),
+                                          substream(seed, "trials"))
+
+    @pytest.mark.parametrize("ds", [
+        shuffled_pool([1, 5, 4, 6], [3, 8, 0, 2], 10),  # a speaker of one utterance
+        shuffled_pool([4, 2, 6, 3], [3, 8, 0, 2], 11),  # a speaker of two
+        shuffled_pool([5, 7], [9, 4], 12),  # exactly two speakers
+        shuffled_pool([2, 2], [1, 0], 13),
+    ], ids=["one-utterance", "two-utterances", "two-speakers", "two-speakers-of-two"])
+    def test_data_dependent_word_counts_run_the_loop(self, loop_calls, ds):
+        for n_pairs in (1, 2, 3, 401):
+            for seed in range(4):
+                assert_trials_match_reference(ds, n_pairs, np.random.default_rng(seed),
+                                              np.random.default_rng(seed))
+        assert len(loop_calls) == 16
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 401])
+    def test_word_numpy_rejects_falls_back_to_the_loop(self, loop_calls, n_pairs):
+        # A PCG64 holding a buffered word of 0: that is the next 32-bit word,
+        # the first trial's first draw over 12 (target) or 11 (non-target)
+        # speakers, and Lemire's bounded draw rejects it and draws again.
+        ra, rb = generator_pair(np.random.PCG64, n_pairs)
+        state = ra.bit_generator.state
+        state.update(has_uint32=1, uinteger=0)
+        ra.bit_generator.state = rb.bit_generator.state = state
+        assert_trials_match_reference(BULK_POOLS["contiguous"], n_pairs, ra, rb)
+        assert len(loop_calls) == 1
+
+    @pytest.mark.parametrize("ds, n_pairs, message", [
+        (pool(np.zeros(6, dtype=int)), 4, "need at least 2 speakers for trials"),
+        (pool(np.zeros(6, dtype=int)), 0, "need at least 2 speakers for trials"),
+        (pool(np.arange(5)), 4, "target trials need a speaker with at least 2 utterances"),
+        (pool(np.arange(5)), -1, "target trials need a speaker with at least 2 utterances"),
+        (BULK_POOLS["contiguous"], 0, "trial set is empty"),
+        (BULK_POOLS["contiguous"], -3, "trial set is empty"),
+        (pool(np.arange(5)), 0, "trial set is empty"),
+    ])
+    def test_errors_raise_before_any_word_is_drawn(self, ds, n_pairs, message):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ev.build_trials(ds, n_pairs, rng)
+        assert_same_state(rng, np.random.default_rng(3))
