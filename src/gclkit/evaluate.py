@@ -1,8 +1,17 @@
 """Verification-trial scoring and equal error rate.
 
-EER is read off the FAR/FRR crossing of a full threshold sweep, with linear
-interpolation between the two adjacent operating points, so it depends only
-on score ranks (invariant under strictly increasing transforms).
+``score_trials`` takes one norm per utterance and forms the dot products in
+blocks of trials, gathered into two reused buffers of about 256 KiB that stay
+in cache, where a gather of the whole list would make (n, D) temporaries.
+Every score is still the per-pair ``sum(a * b) / (|a| |b|)``, bit for bit.
+Each embedding row is first scaled by a power of two (exact), so scores stay
+finite and correct over the whole range of float64.
+
+EER is read off the FAR/FRR crossing, found by bisection over the thresholds
+(every distinct score plus an accept-nothing point; ``far - frr`` never rises
+with the threshold), with linear interpolation between the two adjacent
+operating points, so it depends only on score ranks (invariant under strictly
+increasing transforms).
 """
 
 from dataclasses import dataclass
@@ -11,6 +20,9 @@ import numpy as np
 
 from .batch import _lemire_draws
 from .records import Records
+
+# Bytes of embedding rows per gathered block: two such buffers stay in cache.
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -21,8 +33,17 @@ class TrialSet:
     labels: np.ndarray  # (n,) bool, True = same speaker
 
     def __post_init__(self):
-        if len(self.pairs) == 0:
+        pairs = self.pairs
+        if not isinstance(pairs, np.ndarray):
+            raise ValueError("trial pairs must be an (n, 2) integer array, "
+                             f"got {type(pairs).__name__}")
+        if pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"trial pairs must be an (n, 2) integer array, got a {pairs.dtype} "
+                             f"array of shape {pairs.shape}")
+        if len(pairs) == 0:
             raise ValueError("trial set is empty")
+        if len(self.labels) != len(pairs):
+            raise ValueError(f"{len(self.labels)} trial labels for {len(pairs)} pairs")
 
 
 @dataclass(frozen=True)
@@ -33,27 +54,50 @@ class EerResult:
     n_nontarget: int
 
 
-def cosine_score(a, b):
-    na = np.linalg.norm(a, axis=-1)
-    nb = np.linalg.norm(b, axis=-1)
-    denom = na * nb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sum(a * b, axis=-1) / denom
-    return np.where(denom == 0.0, 0.0, s)
-
-
 def score_trials(trials, embeddings):
-    """Cosine-score each trial pair; returns (scores, labels)."""
+    """Cosine-score each trial pair; returns (scores, labels).
+
+    A pair with a zero embedding scores 0.
+    """
     emb = np.asarray(embeddings, dtype=float)
-    a = emb[trials.pairs[:, 0]]
-    b = emb[trials.pairs[:, 1]]
-    return cosine_score(a, b), np.asarray(trials.labels, dtype=bool)
+    pairs = trials.pairs
+    if pairs.min() < 0 or pairs.max() >= len(emb):
+        raise ValueError(f"trial ids must lie in [0, {len(emb)}) for {len(emb)} embeddings, "
+                         f"got {pairs.min()} to {pairs.max()}")
+    # Scale each row by a power of two, which is exact, to a largest magnitude
+    # in [0.5, 1): products and squares neither overflow nor underflow, and
+    # every other score keeps its bits. The largest magnitudes are reduced
+    # over the rows of the transposed table; a reduction along each short
+    # row of ``emb`` costs about three times as much.
+    _, exponent = np.frexp(np.abs(emb.T, order="C").max(axis=0))
+    emb = np.ldexp(emb, -exponent[:, None])
+    norms = np.linalg.norm(emb, axis=-1)
+    # The ids are checked above, so the gathers skip numpy's bounds check
+    # (mode="raise" would buffer every output).
+    first, second = pairs[:, 0], pairs[:, 1]
+    denom = np.take(norms, first, mode="clip") * np.take(norms, second, mode="clip")
+    dots = np.empty(len(pairs))
+    rows = max(1, _BLOCK_BYTES // (emb.shape[-1] * emb.itemsize))
+    a = np.empty((min(rows, len(pairs)), emb.shape[-1]))
+    b = np.empty_like(a)
+    for start in range(0, len(pairs), rows):
+        stop = min(start + rows, len(pairs))
+        ab, bb = a[:stop - start], b[:stop - start]
+        np.take(emb, first[start:stop], axis=0, out=ab, mode="clip")
+        np.take(emb, second[start:stop], axis=0, out=bb, mode="clip")
+        np.sum(np.multiply(ab, bb, out=ab), axis=-1, out=dots[start:stop])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = dots / denom
+    return np.where(denom == 0.0, 0.0, scores), np.asarray(trials.labels, dtype=bool)
 
 
 def eer(scores, labels):
     """Equal error rate of same/different-speaker scores (higher = more similar)."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=bool)
+    if len(scores) != len(labels):
+        raise ValueError(f"EER needs one label per score, got {len(scores)} scores "
+                         f"and {len(labels)} labels")
     if not np.all(np.isfinite(scores)):
         raise ValueError("EER needs finite scores")
     tgt = np.sort(scores[labels])
@@ -61,26 +105,35 @@ def eer(scores, labels):
     if len(tgt) == 0 or len(non) == 0:
         raise ValueError("EER needs both target and non-target trials")
 
-    # Operating points: accept if score >= threshold, thresholds at every score.
-    # The counts below each threshold come from binary search over the sorted
-    # scores: O(n log n) in all.
+    # Operating points: accept if score >= threshold, thresholds at every
+    # score, then the accept-nothing point at index U (far 0, frr 1).
     thresholds = np.unique(scores)
-    far = (len(non) - np.searchsorted(non, thresholds, side="left")) / len(non)
-    frr = np.searchsorted(tgt, thresholds, side="left") / len(tgt)
-    # Append the accept-nothing endpoint.
-    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
-    far = np.append(far, 0.0)
-    frr = np.append(frr, 1.0)
+    n_tgt, n_non, top = len(tgt), len(non), len(thresholds)
 
-    diff = far - frr  # decreasing from >=0 to <=0
-    idx = int(np.argmax(diff <= 0))
-    if idx == 0:
-        return EerResult(float(far[0]), float(thresholds[0]), len(tgt), len(non))
-    d0, d1 = diff[idx - 1], diff[idx]
+    def point(i):
+        """(far, frr, threshold) of operating point i, counted by binary search."""
+        if i == top:
+            return 0.0, 1.0, float(thresholds[-1]) + 1.0
+        t = thresholds[i]
+        return ((n_non - int(non.searchsorted(t))) / n_non,
+                int(tgt.searchsorted(t)) / n_tgt, float(t))
+
+    # far - frr never rises with i. It is 1 at point 0, the lowest score,
+    # which accepts every trial, and -1 at U: bisect over [1, U] for the
+    # first point where it is <= 0.
+    lo, hi = 1, top
+    while lo < hi:
+        mid = (lo + hi) // 2
+        far, frr, _ = point(mid)
+        if far - frr <= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    far1, frr1, thr1 = point(lo)
+    far0, frr0, thr0 = point(lo - 1)
+    d0, d1 = far0 - frr0, far1 - frr1
     lam = 0.0 if d0 == d1 else d0 / (d0 - d1)
-    eer_val = far[idx - 1] + lam * (far[idx] - far[idx - 1])
-    thr = thresholds[idx - 1] + lam * (thresholds[idx] - thresholds[idx - 1])
-    return EerResult(float(eer_val), float(thr), len(tgt), len(non))
+    return EerResult(far0 + lam * (far1 - far0), thr0 + lam * (thr1 - thr0), n_tgt, n_non)
 
 
 def build_trials(dataset, n_pairs, rng):

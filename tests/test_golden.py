@@ -29,6 +29,15 @@ workload draws over its 80 held-out speakers of 12 utterances. Their
 digests date from the per-trial draw loop, before ``build_trials`` decoded
 the list from one bulk draw of words: the bulk draw must give the same
 pairs.
+
+Evaluation is pinned on two of those lists, each scored by an untrained
+``Encoder(32, 64, 16, np.random.default_rng([1, 1]))`` as the benchmark's
+evaluation units score it: the 20000 ``wide`` pairs and the 400 pairs that
+criterion 6 draws for dataset seed 1 (the default synthetic data, 16 held-out
+speakers). Each keeps the sha256 of the score array's bytes and the whole
+``EerResult``. They were captured with the per-pair scorer and the full
+threshold sweep, before ``score_trials`` scored in blocks and ``eer``
+bisected for the crossing: both must give the same bits.
 """
 
 import hashlib
@@ -38,6 +47,7 @@ import pytest
 
 from gclkit import cli
 from gclkit import evaluate as ev
+from gclkit.encoder import Encoder
 from gclkit.synth import SyntheticConfig, synth_dataset
 
 CONFIGS = {
@@ -120,3 +130,32 @@ def test_golden_wide_trials(tmp_path):
                    ev.build_trials(held, 20000, cli.substream(1, "trials")))
     digest = hashlib.sha256((tmp_path / "trials.txt").read_bytes()).hexdigest()
     assert digest == GOLDEN_TRIALS["wide"]
+
+
+# name -> (sha256 of the score array's bytes, EerResult)
+GOLDEN_SCORES = {
+    "wide": ("745b7bb5b985372e4a996b266f08c0df98ba5c400d79607eb7c493eef6287750",
+             ev.EerResult(eer=0.1084, threshold=0.41213330287643635,
+                          n_target=10000, n_nontarget=10000)),
+    "criterion6": ("18cdfa0c1189e88d0d34d64305d37f702d186a8c13c0277058455a0f75d32e6a",
+                   ev.EerResult(eer=0.125, threshold=0.3922685715286058,
+                                n_target=200, n_nontarget=200)),
+}
+
+SCORED_LISTS = {
+    "wide": (SyntheticConfig(n_speakers=400, utterances_per_speaker=12, seed=1), 80, 20000),
+    "criterion6": (SyntheticConfig(seed=1), 16, 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCORED_LISTS))
+def test_golden_scores(name):
+    config, n_held, n_pairs = SCORED_LISTS[name]
+    dataset = synth_dataset(config, np.random.default_rng([1, 0]))
+    _, held = cli.split_dataset(dataset, n_held, 1)
+    trials = ev.build_trials(held, n_pairs, cli.substream(1, "trials"))
+    encoder = Encoder(held.features.shape[1], 64, 16, np.random.default_rng([1, 1]))
+    scores, labels = ev.score_trials(trials, encoder(held.features))
+    assert scores.dtype == np.float64
+    assert (hashlib.sha256(scores.tobytes()).hexdigest(), ev.eer(scores, labels)) == \
+        GOLDEN_SCORES[name]
