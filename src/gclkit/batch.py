@@ -25,19 +25,17 @@ views, and builds both batches from slices of the output: the merged map
 covers the whole pool in order, for one encoder backward pass.
 
 The labeled rows come from two-step sampling: one ``rng.choice`` of N
-classes, then K' rows of each. The random stream of the second step is one
-``rng.choice(count, K', replace=False)`` per class, and it is replayed, not
-changed: numpy draws each of those samples with Floyd's algorithm and a
-shuffle, one 32-bit word per bounded draw, so one bulk draw of the words
-gives the same rows and leaves the generator in the same state. Where a word
-is one that numpy's bounded draw might reject and redraw, or a class has more
-rows than Floyd's branch covers, the per-class calls run instead.
+classes, then K' rows of each. The second step's stream is one
+``rng.choice(count, K', replace=False)`` per class, replayed from one bulk
+draw of words (see ``_replay``) where that is exact.
 """
 
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
+
+from . import _replay
 
 
 class CapacityError(ValueError):
@@ -147,74 +145,30 @@ def two_step_sample(dataset, n, k, rng):
     if len(eligible) < n:
         raise CapacityError(f"need {n} classes with >= {k} samples, have {len(eligible)}")
     chosen = rng.choice(eligible, size=n, replace=False)
-    # One bulk draw replays the per-class calls bit for bit; the calls
-    # themselves run only where the replay cannot be exact.
     take = _choice_rows(counts[chosen], k, rng)
     take += starts[chosen, None]
     samples = dataset.features[order[take]].astype(float, copy=False)
     return LabeledMiniBatch(samples=samples, labels=classes[chosen])
 
 
-# Up to this population, Generator.choice(count, k, replace=False) runs
-# Floyd's algorithm; above it, it may shuffle the tail of an arange instead.
-_FLOYD_MAX = 10000
-
-
 def _choice_rows(counts, k, rng):
     """Row i is ``rng.choice(counts[i], k, replace=False)``, drawn for every
-    row in turn; ``rng`` ends where those per-row calls leave it.
-
-    Each call runs Floyd's k draws (draw t is uniform on [0, count-k+t]; a
-    value already taken becomes count-k+t), then shuffles them with k-1 draws
-    (the one for position i uniform on [0, i]). Each draw over r values is
-    Lemire's ``(w * r) >> 32`` of one 32-bit word w, and a draw over one value
-    takes none. So one bulk draw of every row's words, from the same
-    ``next_uint32`` stream, replays the calls bit for bit unless a word is
-    one Lemire may reject (``(w * r) mod 2**32 < r``, about r / 2**32 per
-    word): then the state is restored and the per-row calls run instead, as
-    they do for a count above ``_FLOYD_MAX``.
+    row in turn; ``rng`` ends where those per-row calls leave it. They are
+    replayed from one bulk draw (see ``_replay``) where that is exact.
     """
     n = len(counts)
-    if n == 0 or k == 0 or counts.max() > _FLOYD_MAX:
+    if n == 0 or k == 0 or counts.max() > _replay.FLOYD_MAX:
         return _choice_loop(counts, k, rng)
-    # The ranges of each row's draws, in order: Floyd's k, then the shuffle's k-1.
-    ranges = np.empty((n, 2 * k - 1), dtype=np.uint64)
-    ranges[:, :k] = counts[:, None] + np.arange(1 - k, 1)
-    ranges[:, k:] = np.arange(k, 1, -1)
+    ranges = _replay.choice_ranges(counts, k)
     drawn = ranges > 1  # only Floyd's first draw, where count == k, takes no word
     saved = rng.bit_generator.state
     words = rng.integers(0, 2**32, size=np.count_nonzero(drawn), dtype=np.uint32)
     values = np.zeros(ranges.shape, dtype=np.intp)
-    values[drawn], may_reject = _lemire_draws(words, ranges[drawn])
+    values[drawn], may_reject = _replay.lemire(words, ranges[drawn])
     if may_reject:
         rng.bit_generator.state = saved
         return _choice_loop(counts, k, rng)
-    # Draw by draw across the rows: values[t] holds draw t of every row.
-    values = values.T
-    take = values[:k].copy()
-    for t in range(1, k):  # Floyd: a value already taken becomes count-k+t
-        np.copyto(take[t], counts - k + t, where=(take[:t] == take[t]).any(axis=0))
-    rows = np.arange(n)
-    for i, j in zip(range(k - 1, 0, -1), values[k:]):  # swap positions i and j
-        swapped = take[j, rows]
-        take[j, rows] = take[i]
-        take[i] = swapped
-    return take.T.copy()
-
-
-def _lemire_draws(words, ranges):
-    """``(values, may_reject)`` of bounded draws decoded from 32-bit words.
-
-    Value i is Lemire's ``(w * r) >> 32`` of word w over its range of r
-    values (``words`` and ``ranges`` broadcast): the draw numpy's bounded
-    integers make from one word of the generator's ``next_uint32`` stream.
-    ``may_reject`` is whether any word meets ``(w * r) mod 2**32 < r``, a
-    superset of the words that draw rejects and replaces with the next one;
-    where it is False, every draw took exactly its one word.
-    """
-    ranges = np.asarray(ranges, dtype=np.uint64)
-    m = words.astype(np.uint64) * ranges
-    return (m >> 32).astype(np.intp), bool(((m & 0xFFFFFFFF) < ranges).any())
+    return _replay.choice(values.T, counts, k).T.copy()
 
 
 def _choice_loop(counts, k, rng):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import _lemire_draws
+from . import _replay
 from .records import Records
 
 # Bytes of embedding rows per gathered block: two such buffers stay in cache.
@@ -42,8 +42,15 @@ class TrialSet:
                              f"array of shape {pairs.shape}")
         if len(pairs) == 0:
             raise ValueError("trial set is empty")
-        if len(self.labels) != len(pairs):
-            raise ValueError(f"{len(self.labels)} trial labels for {len(pairs)} pairs")
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1:
+            raise ValueError(f"trial labels must be a 1-D array, got shape {labels.shape}")
+        if len(labels) != len(pairs):
+            raise ValueError(f"{len(labels)} trial labels for {len(pairs)} pairs")
+        bad = np.flatnonzero((labels != 0) & (labels != 1)) if labels.dtype.kind in "biu" else [0]
+        if len(bad):
+            raise ValueError("trial labels must be booleans or the integers 0 and 1: "
+                             f"label {bad[0]} is {labels[bad[0]].item()!r}")
 
 
 @dataclass(frozen=True)
@@ -148,17 +155,9 @@ def build_trials(dataset, n_pairs, rng):
     ``rng.choice(n_speakers, 2, replace=False)``, then one
     ``rng.integers(0, count)`` per chosen speaker.
 
-    Each of those draws over r values is Lemire's ``(w * r) >> 32`` of one
-    32-bit word w (see ``batch._choice_rows``), so with at least 3 speakers
-    and at least 3 utterances per speaker every trial takes a fixed set of
-    words, and one bulk draw covers the whole list. A target trial takes 4:
-    the speaker over n_speakers, Floyd's two utterance draws over count - 1
-    and count, and the shuffle's over 2. A non-target trial takes 5: Floyd's
-    two speaker draws over n_speakers - 1 and n_speakers, the shuffle's over
-    2, and one utterance over each chosen speaker's count. The loop runs
-    instead where the number of words depends on the data (fewer speakers or
-    utterances), and, with the state restored, where a word is one Lemire's
-    draw may reject.
+    With at least 3 speakers of at least 3 utterances, one bulk draw replays
+    them (see ``_replay``); the loop runs where the word count depends on the
+    data, or where a word is one the bounded draw may reject.
     """
     speakers, counts, order, starts = dataset.class_index
     if len(speakers) < 2:
@@ -181,26 +180,18 @@ def _trial_positions(counts, starts, n_target, n_non, rng):
     saved = rng.bit_generator.state
     words = rng.integers(0, 2**32, size=4 * n_target + 5 * n_non, dtype=np.uint32)
     target, other = words[:4 * n_target].reshape(-1, 4), words[4 * n_target:].reshape(-1, 5)
-    s, reject_s = _lemire_draws(target[:, 0], n)
+    s, reject_s = _replay.lemire(target[:, 0], n)
     c = counts[s]
-    draws, reject_c = _lemire_draws(target[:, 1:], np.stack([c - 1, c, np.full_like(c, 2)], 1))
-    i, j = _choice_pair(*draws.T, c)
-    draws, reject_n = _lemire_draws(other[:, :3], [n - 1, n, 2])
-    s1, s2 = _choice_pair(*draws.T, n)
-    u, reject_u = _lemire_draws(other[:, 3:], np.stack([counts[s1], counts[s2]], 1))
+    draws, reject_c = _replay.lemire(target[:, 1:], _replay.choice_ranges(c, 2))
+    i, j = _replay.choice(draws.T, c, 2)
+    draws, reject_n = _replay.lemire(other[:, :3], _replay.choice_ranges(n, 2))
+    s1, s2 = _replay.choice(draws.T, n, 2)
+    u, reject_u = _replay.lemire(other[:, 3:], np.stack([counts[s1], counts[s2]], 1))
     if reject_s or reject_c or reject_n or reject_u:
         rng.bit_generator.state = saved
         return _trial_loop(counts, starts, n_target, n_non, rng)
     return np.stack([np.concatenate([starts[s] + i, starts[s1] + u[:, 0]]),
                      np.concatenate([starts[s] + j, starts[s2] + u[:, 1]])], 1)
-
-
-def _choice_pair(first, second, swap, population):
-    """``rng.choice(population, 2, replace=False)`` from its three draws: Floyd's
-    over population - 1 and population (a value already taken becomes
-    population - 1), then the shuffle's over 2 (a 0 swaps the two)."""
-    second = np.where(second == first, population - 1, second)
-    return np.where(swap == 0, second, first), np.where(swap == 0, first, second)
 
 
 def _trial_loop(counts, starts, n_target, n_non, rng):

@@ -119,6 +119,30 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=f"{n_labels} trial labels for 2 pairs"):
             ev.TrialSet(pairs=np.array([[0, 1], [1, 2]]), labels=np.ones(n_labels, bool))
 
+    @pytest.mark.parametrize("labels, first_bad", [
+        (np.array([1, 2]), "label 1 is 2"),
+        (np.array([0.5, 1.0]), "label 0 is 0.5"),
+        (np.array([0, -1]), "label 1 is -1"),
+        (np.array([-1.0, 0.0]), "label 0 is -1.0"),
+        (np.array(["1", "0"]), "label 0 is '1'"),
+    ])
+    def test_labels_other_than_booleans_or_0_and_1_rejected(self, labels, first_bad):
+        with pytest.raises(ValueError, match=f"booleans or the integers 0 and 1: {first_bad}$"):
+            ev.TrialSet(pairs=np.array([[0, 1], [1, 2]]), labels=labels)
+
+    def test_labels_not_1d_rejected(self):
+        with pytest.raises(ValueError, match=r"1-D array, got shape \(2, 1\)"):
+            ev.TrialSet(pairs=np.array([[0, 1], [1, 2]]), labels=np.ones((2, 1), bool))
+
+    @pytest.mark.parametrize("labels", [np.array([True, False]), np.array([1, 0]),
+                                        np.array([1, 0], np.uint8), [1, 0]])
+    def test_boolean_and_0_1_labels_accepted_and_round_trip(self, tmp_path, labels):
+        trials = ev.TrialSet(pairs=np.array([[0, 1], [1, 2]]), labels=labels)
+        ev.save_trials(tmp_path / "t.txt", trials)
+        back = ev.load_trials(tmp_path / "t.txt", 3)
+        assert np.array_equal(back.pairs, trials.pairs)
+        assert back.labels.tolist() == [True, False]
+
     def test_eer_length_mismatch_names_both_lengths(self):
         with pytest.raises(ValueError, match="3 scores and 2 labels"):
             ev.eer([0.1, 0.2, 0.3], [True, False])
