@@ -15,9 +15,11 @@ place: the row max ``m`` over the support, the shift, ``exp``, the row sums.
 ``rho`` cancels in each ratio except through the guard: ``den_i = num_i +
 rest_i``, ``num`` the positive cells' sum and ``rest_i`` the negative cells'
 sum plus ``eps * exp(-(m_i + rho_i))``. No gradient on the block is formed:
-with W+ the positive cells and W the negative ones it is
-``G = diag(kappa) W + diag(alpha) W+``, and the kernel returns the per-row
-coefficients and leaves W and W+ in the buffer. A positive cell's term
+it is ``G = diag(kappa) W``, and the kernel returns ``kappa`` and leaves W in
+the buffer. W holds each negative cell's ``w_ij`` and, in each positive
+cell, ``-rest_i`` times the cell's share ``w_ij / num_i`` of the numerator
+(the share is taken first, so it is at most 1 and cannot overflow; a row
+whose positive cells all underflowed keeps them 0). A positive cell's term
 carries ``rest`` and a negative cell's ``num``, each summed on its own, so
 no cell is a difference of two large terms: a row whose ratio is near 1
 keeps its digits. ``kappa`` holds a ``0 * den`` term, NaN where ``den`` is
@@ -28,12 +30,10 @@ cell is in the support except the self cells (row index == column index),
 and each row has exactly one positive, at block column ``partner[i]``. That
 is NT-Xent (type 4 and strict semi: the whole matrix, with the diagonal as
 self cells) and type 3 (no self cells). There W is built without masks, and
-its partner cells end up holding ``-rest``, so that ``G = diag(kappa) W``
-(``kappa * -rest`` is ``alpha * num``). Every other layout takes the masked
-path, with W+ a second block below W, where ``np.exp`` never sees -inf:
-off-support cells are set to 0 before the exponential and zeroed after it,
-because NumPy's exp leaves its vectorized path on -inf and runs several
-times slower there.
+a partner cell's share is 1, so it is written ``-rest``. Every other layout
+takes the masked path, where ``np.exp`` never sees -inf: off-support cells
+are set to 0 before the exponential and zeroed after it, because NumPy's exp
+leaves its vectorized path on -inf and runs several times slower there.
 
 The values agree with the direct whole-matrix formula to rounding, not bit
 for bit. The affinity may be int8 (the built-in layouts) or float: the
@@ -77,12 +77,11 @@ class _LossPlan:
     cell on one of them, every column when every row is active (``whole``);
     ``shape`` is the block's (R, C). ``partner`` selects the kernel's dense
     path (see the module docstring), whose partner cells are
-    ``partner_cells``; otherwise ``off``, ``pos`` and ``nonneg`` mask the
-    block's zero, positive and non-negative cells.
+    ``partner_cells``; otherwise ``off``, ``pos`` and ``neg`` mask the
+    block's zero, positive and negative cells.
 
-    ``buf`` is the one float64 buffer: ``w``, of the block's shape, which the
-    exponent matrix writes its product into and the kernel turns into W, and
-    on the masked path ``wpos`` below it, for W+.
+    ``w`` is the one float64 buffer, of the block's shape on every path: the
+    exponent matrix writes its product into it and the kernel turns it into W.
     """
 
     def __init__(self, a, active):
@@ -99,12 +98,10 @@ class _LossPlan:
         self.shape = (r, c) = block.shape
         self.partner_cells = _partner_cells(block, self.whole) if block.size else None
         self.partner = None if self.partner_cells is None else self.partner_cells[1]
-        masked = self.partner is None and r
-        self.buf = np.empty((2 * r if masked else r, c))
-        self.w, self.wpos = self.buf[:r], self.buf[r:] if masked else None
-        self.off = self.pos = self.nonneg = None
-        if masked:
-            self.off, self.pos, self.nonneg = block == 0, block > 0, block >= 0
+        self.w = np.empty((r, c))
+        self.off = self.pos = self.neg = None
+        if self.partner is None and r:
+            self.off, self.pos, self.neg = block == 0, block > 0, block < 0
 
 
 def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None, rho=0.0):
@@ -128,38 +125,36 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None, rho=0.0):
     inv_norm : 1 / normalization count.
     plan : the ``_LossPlan`` of ``a`` and ``active``, such as an affinity
         matrix's (``AffinityMatrix._plan``). ``e`` is copied into ``plan.w``
-        unless it is that buffer, and W and W+ are left in the plan. Without
-        one, a throwaway plan is built and every returned array is fresh.
+        unless it is that buffer, and W is left there. Without one, a
+        throwaway plan is built and every returned array is fresh.
     rho : the per-row constant of the block's rows, or a scalar.
 
     Returns
     -------
     (loss, r, grad), r (M,) with zeros on inactive rows. With a plan, grad
-    is ``(kappa, alpha, grad_rho)`` on the block's rows (see the module
-    docstring), ``grad_rho`` being G's row sums. Without one, grad is G, of
-    ``e``'s shape, zero off the block.
+    is ``(kappa, grad_rho)`` on the block's rows (see the module docstring),
+    ``grad_rho`` being G's row sums. Without one, grad is G, of ``e``'s
+    shape, zero off the block.
     """
     if plan is None:
         plan = _LossPlan(a, active)
         cells = np.ix_(plan.rows, plan.cols)
-        loss, r, (kappa, alpha, _) = ratio_terms(e if plan.whole else e[cells], a, active,
-                                                 eps, log_transform, inv_norm, plan)
+        loss, r, (kappa, _) = ratio_terms(e if plan.whole else e[cells], a, active,
+                                          eps, log_transform, inv_norm, plan)
         g = np.multiply(kappa[:, None], plan.w, out=plan.w)  # the plan is throwaway
-        if plan.wpos is not None:
-            g += alpha[:, None] * plan.wpos
         if not plan.whole:
             block, g = g, np.zeros(e.shape)
             g[cells] = block
         return loss, r, g
     r = np.zeros(a.shape[0])
-    partner, w, wpos = plan.partner, plan.w, plan.wpos
+    partner, w = plan.partner, plan.w
     if not plan.shape[0]:
-        return 0.0, r, (r[:0],) * 3
+        return 0.0, r, (r[:0],) * 2
     if e is not w:
         np.copyto(w, e)
 
     # Row-wise max over the nonzero support, then w = exp(e - max) on the
-    # support and 0 off it, split into W+ and W.
+    # support and 0 off it, and the positive and negative cells' row sums.
     if partner is not None:
         # The self cells, off the support; type 3's block has none.
         diag = w.reshape(-1)[:: w.shape[1] + 1] if plan.whole else w[0, :0]
@@ -171,8 +166,9 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None, rho=0.0):
         diag[:] = 0.0
         num = w[plan.partner_cells]
         w[plan.partner_cells] = 0.0
+        rest = w.sum(axis=1)
     else:
-        off = plan.off
+        off, pos = plan.off, plan.pos
         np.copyto(w, -np.inf, where=off)
         # initial: a caller's ``active`` may flag only rows without support,
         # which leaves the block no column; such a row's max is -inf.
@@ -180,12 +176,18 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None, rho=0.0):
         w -= mx[:, None]
         np.copyto(w, 0.0, where=off)
         np.exp(w, out=w)
-        wpos.fill(0.0)
-        np.copyto(wpos, w, where=plan.pos)
-        np.copyto(w, 0.0, where=plan.nonneg)
-        num = wpos.sum(axis=1)
+        np.copyto(w, 0.0, where=off)
+        num = w.sum(axis=1, where=pos)
+        rest = w.sum(axis=1, where=plan.neg)
     eps_term = eps * np.exp(-(mx + rho))
-    rest = w.sum(axis=1) + eps_term  # the denominator's non-positive part
+    rest += eps_term  # the denominator's non-positive part
+    # W: each positive cell becomes -rest times its share of the numerator.
+    if partner is not None:
+        w[plan.partner_cells] = -rest  # the partner cell's share is 1
+    else:
+        # Where every positive cell underflowed, num is 0: divide by 1.
+        np.divide(w, np.where(num == 0.0, 1.0, num)[:, None], out=w, where=pos)
+        np.multiply(w, -rest[:, None], out=w, where=pos)
     den = num + rest
 
     ratios = num / den  # den >= 1, the max cell's w, or inf
@@ -198,10 +200,8 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None, rho=0.0):
             dl_dr = -inv_norm / ratios
     loss = -inv_norm * float(terms.sum())
 
-    # dr_i/de_ij = w_ij (rest_i [a_ij > 0] - num_i [a_ij < 0]) / den_i^2, and
-    # d/drho_i is the eps term's share alone.
+    # dr_i/de_ij = w_ij (rest_i [a_ij > 0] - num_i [a_ij < 0]) / den_i^2, so
+    # G = diag(kappa) W, and d/drho_i is the eps term's share alone.
     c = dl_dr / den
     kappa = 0.0 * den - c * ratios
-    if partner is not None:
-        w[plan.partner_cells] = -rest  # kappa * -rest is alpha * num
-    return loss, r, (kappa, c * (rest / den), -kappa * eps_term)
+    return loss, r, (kappa, -kappa * eps_term)

@@ -88,9 +88,10 @@ class ExponentMatrix:
     without ``plan`` the full (M, M) matrix, sq-euclid's diagonal zeroed;
     with one, the factors cover the plan's support block, ``p`` is written
     into its buffer and the ratio kernel then works there in place, so read
-    ``e`` first. ``backward`` takes the kernel's row coefficients on the
-    plan, or a dense gradient on ``e`` (kappa = 1, alpha = 0), to z and the
-    kernel parameters with two products with the block, once, after the loss.
+    ``e`` first. ``backward`` takes ``G = diag(kappa) W``, the kernel's row
+    coefficient and the W it left in the plan, or a dense gradient G on ``e``
+    (W = G, kappa = 1), to z and the kernel parameters with two products with
+    the block, once, after the loss.
     """
 
     def __init__(self, z, params, plan=None):
@@ -115,20 +116,13 @@ class ExponentMatrix:
 
     def backward(self, grad):
         """(grad_z, grad_kernel dict with gamma/beta/proj where trainable) from
-        ``ratio_terms``'s ``(kappa, alpha, grad_rho)`` or a dense gradient on e."""
+        ``ratio_terms``'s ``(kappa, grad_rho)`` or a dense gradient on e."""
         x, y = self.x, self.yt.T
         if isinstance(grad, np.ndarray):
             return self._chain(grad @ y, grad.T @ x, grad.sum(axis=1))
-        kappa, alpha, grho = grad
-        k, plan = kappa[:, None], self.plan
-        if plan.partner is not None:  # G = diag(kappa) W
-            return self._chain((plan.w @ y) * k, plan.w.T @ (k * x), grho)
-        # W and W+ are the halves of one buffer: one product per side.
-        r, ka = x.shape[0], np.concatenate((kappa, alpha))[:, None]
-        t = plan.buf @ y
-        t *= ka
-        gy = plan.buf.T @ (ka * np.concatenate((x, x)))
-        return self._chain(t[:r] + t[r:], gy, grho)
+        kappa, grho = grad
+        k, w = kappa[:, None], self.plan.w  # G = diag(kappa) W
+        return self._chain((w @ y) * k, w.T @ (k * x), grho)
 
 
 def _sides(block, x):

@@ -25,12 +25,12 @@ held with its float64 buffer while the matrix lives, so one matrix must not
 be evaluated from two threads at once. Each kernel's exponent is a product
 of (M, D') factors plus a per-row constant (see ``ExponentMatrix``): the
 block holds the product, the ratio kernel works in it in place and returns
-two coefficients per row instead of a gradient on the block, and the
-backward pass takes them to the factors with two products. The finiteness
-check is O(M * D'): only where the factors' Cauchy-Schwarz bound on |e| is
-not comfortably finite is the block itself checked. No array of a report
-is a plan buffer: ``per_anchor``, ``grad_z`` and the kernel gradients are
-fresh on every call.
+one coefficient per row instead of a gradient on the block, and the
+backward pass takes the rows scaled by it to the factors with two products.
+The finiteness check is O(M * D'): only where the factors' Cauchy-Schwarz
+bound on |e| is not comfortably finite is the block itself checked. No
+array of a report is a plan buffer: ``per_anchor``, ``grad_z`` and the
+kernel gradients are fresh on every call.
 
 ``oracle_episode`` and ``oracle_ntxent`` are deliberately naive direct
 implementations of the prototypical episode loss and the two-view NT-Xent

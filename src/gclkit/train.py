@@ -161,9 +161,11 @@ def compose_semi_minibatch(labeled_pool, unlabeled_pool, config, rng, aug_spec, 
         lab = batching.two_step_sample(labeled_pool, n_classes, config.k_prime, rng)
         parts.append(lab.samples.reshape(n_classes * config.k_prime, -1))
     if n_unlabeled > 0:
-        if unlabeled_pool is None or len(unlabeled_pool) == 0:
-            raise batching.CapacityError("unlabeled pool is empty")
-        take = rng.choice(len(unlabeled_pool), size=n_unlabeled, replace=False)
+        pool_size = 0 if unlabeled_pool is None else len(unlabeled_pool)
+        if pool_size < n_unlabeled:
+            raise batching.CapacityError(
+                f"need N' = {n_unlabeled} unlabeled rows, the pool has {pool_size}")
+        take = rng.choice(pool_size, size=n_unlabeled, replace=False)
         t1 = draw_transform(aug_spec, augment_rng)
         t2 = draw_transform(aug_spec, augment_rng)
         parts.append(paired_views(unlabeled_pool[take], t1, t2))

@@ -6,6 +6,7 @@ Suite functions accept the loss entry points as parameters so a harness can
 inject a broken implementation and confirm the suite catches it.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -115,11 +116,7 @@ def gradient_case_error(rep, matrix, params, options, h=1e-4):
         for s in sizes:
             pieces.append(x[pos : pos + s])
             pos += s
-        rep2 = batching.RepresentationBatch(
-            z=pieces[0].reshape(rep.z.shape),
-            groups=rep.groups, indices=rep.indices, slots=rep.slots,
-            n_labeled=rep.n_labeled, n_unlabeled=rep.n_unlabeled,
-        )
+        rep2 = dataclasses.replace(rep, z=pieces[0].reshape(rep.z.shape))
         params2 = KernelParams(params.kind, tau=params.tau, gamma=params.gamma,
                                beta=params.beta,
                                proj=None if params.proj is None else params.proj.copy())

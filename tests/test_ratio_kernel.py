@@ -19,7 +19,7 @@ the outputs hold inf and NaN; those cases are held to stay non-finite
 
 Every evaluation runs on a loss plan: a matrix builds its own
 (``AffinityMatrix._plan``) on its first evaluation and keeps it, with its
-float64 buffers of the block's shape, while it lives, and a call of the
+float64 buffer of the block's shape, while it lives, and a call of the
 kernel without one builds a throwaway plan. ``reference_gcl_grad`` is the
 evaluation written directly over the whole matrix, with every array
 allocated anew; ``gcl_grad`` on a fresh matrix and on one matrix reused
@@ -480,15 +480,16 @@ def test_reused_matrix_allocates_no_block_sized_array(name, n, d):
         tracemalloc.stop()
     assert matrix._plan.shape == (128, 128)
     block = 8 * 128 * 128
-    # The plan's buffer: W, and on the masked path (type 1) W+ below it.
-    assert peaks[0] >= (2 if name == "type1" else 1) * block
+    # The plan's buffer W, of the block's shape on every path.
+    assert peaks[0] >= block
     assert max(peaks[1:]) < 0.8 * block, [p / block for p in peaks]
 
 
 def test_plan_block_of_each_layout():
     # The block is the active rows x the columns with a nonzero cell on
-    # them; it holds every nonzero cell of the active rows, and the buffers
-    # have its shape. Types 1 and 3 take every other row and column.
+    # them; it holds every nonzero cell of the active rows, and the masks
+    # and the one float buffer, W, have its shape. Types 1 and 3 take every
+    # other row and column.
     n = 6
     every, even, odd = np.arange(2 * n), np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
     cases = {  # name: (matrix, rows, cols, dense path)
@@ -505,16 +506,16 @@ def test_plan_block_of_each_layout():
         assert plan.whole == (rows.size == 2 * n), name
         shape = (rows.size, cols.size)
         assert plan.shape == shape, name
-        assert plan.w.shape == shape and np.shares_memory(plan.w, plan.buf), name
+        floats = [x for x in vars(plan).values()
+                  if isinstance(x, np.ndarray) and x.dtype.kind == "f"]
+        assert len(floats) == 1 and floats[0] is plan.w and plan.w.shape == shape, name
         assert np.count_nonzero(a[np.ix_(rows, cols)]) == np.count_nonzero(a[matrix.active]), name
         assert (plan.partner is not None) == dense, name
         if dense:
             assert (a[np.ix_(rows, cols)][np.arange(shape[0]), plan.partner] > 0).all(), name
-            assert plan.buf.shape == shape and plan.wpos is None, name
+            assert plan.off is plan.pos is plan.neg is None, name
         else:
-            assert plan.off.shape == plan.pos.shape == plan.nonneg.shape == shape, name
-            assert plan.buf.shape == (2 * shape[0], shape[1]), name
-            assert plan.wpos.shape == shape and np.shares_memory(plan.wpos, plan.buf), name
+            assert plan.off.shape == plan.pos.shape == plan.neg.shape == shape, name
 
 
 @pytest.mark.parametrize("a", [np.zeros((4, 4)), np.eye(4) - 1.0], ids=["zero", "negatives"])
@@ -547,6 +548,27 @@ def test_partial_block_with_self_cells(transform):
             batch = _batch(rng, 3, 0, 4)
             want = reference_gcl_grad(batch, matrix, params, options)
             _assert_report(losses.gcl_grad(batch, matrix, params, options), want, params.kind)
+
+
+def test_masked_row_whose_positive_cell_underflows():
+    # Row 0's positive partner is 30 units away (sq-euclid exponent -900) and
+    # its negative at distance 0 holds the row max, so exp underflows the
+    # positive cell to 0 and the numerator is 0. Row 3's cell on column 0
+    # puts a zero cell in the block: the masked path. The ratio is 0 and the
+    # gradient on the row is 0, not the 0 / 0 of a positive cell's share.
+    a = np.zeros((4, 4))
+    a[0, [1, 2]] = [1.0, -1.0]
+    a[3, [0, 2]] = [-1.0, 1.0]
+    matrix = aff.AffinityMatrix(a)
+    assert matrix._plan.partner is None and matrix._plan.rows.tolist() == [0, 3]
+    z = np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    batch = batching.RepresentationBatch(z, *batching.canonical_tags(2, 0), 2, 0)
+    params, options = KernelParams("sq-euclid"), losses.GclOptions()
+    _, r, de = _assert_close(ExponentMatrix(z, params).e, a, matrix.active, False)
+    assert r[0] == 0.0 and np.isfinite(de).all() and not de[0].any()
+    report = losses.gcl_grad(batch, matrix, params, options)
+    assert np.isfinite(report.grad_z).all()
+    _assert_report(report, reference_gcl_grad(batch, matrix, params, options), "underflow")
 
 
 def _raise_layouts():

@@ -179,6 +179,12 @@ class TestTraining:
             training.train(None, small_config(mode="unsupervised", steps=1),
                            seed=0, unlabeled_pool=np.empty((0, 8)))
 
+    def test_undersized_unlabeled_pool_raises_capacity_error(self):
+        # N' = 40 rows drawn without replacement from a pool of 12.
+        cfg = small_config(mode="unsupervised", steps=1, batch_slots=40)
+        with pytest.raises(batching.CapacityError, match="N' = 40 unlabeled rows, the pool has 12"):
+            training.train(None, cfg, seed=0, unlabeled_pool=small_dataset().features[:12])
+
     def test_divergence_aborts(self, monkeypatch):
         bad = losses.LossReport(loss=float("nan"), per_anchor=np.zeros(4),
                                 active=np.ones(4, bool),
