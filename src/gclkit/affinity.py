@@ -22,12 +22,14 @@ A matrix's first loss evaluation builds its loss plan (``_core_py``), and
 every later one reuses it. The matrix holds the plan while it lives: the
 support block (the active rows against the columns with a nonzero cell on
 them), the ``partner`` column of a dense block (NT-Xent, type 3) or the
-block's masks, and one float64 buffer, ``_LossPlan.w``, of the block's
-shape (R, C) on every path (4.7 MB at M = 768 for a whole-matrix layout, a
-quarter of that for type 3's (N, N) block).
-``train()`` builds one matrix per run, so its steps reuse the buffer instead
-of allocating and page-faulting a fresh one. Because every evaluation writes
-that buffer, one matrix must not be evaluated from two threads at once.
+block's masks, and one float64 buffer, ``_LossPlan.w``, of one row panel of
+the block on every path: ``max(1, _PANEL_BYTES // (8 C))`` rows of the C
+columns, or all R where they fit. At M = 768 a whole-matrix layout's block
+is 4.7 MB and its buffer 64 rows, 384 KiB; type 3's (N, N) block is one
+panel up to N = 221. ``train()`` builds one matrix per run, so its steps
+reuse the buffer instead of allocating a fresh one. Because every
+evaluation writes that buffer, one matrix must not be evaluated from two
+threads at once.
 """
 
 from dataclasses import dataclass

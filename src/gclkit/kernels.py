@@ -82,47 +82,45 @@ class ExponentMatrix:
       cosine-temp    x = v / tau    y = v            rho = 0
       affine-cosine  x = gamma v    y = v            rho = beta
 
-    ``p = x @ yt`` is one general product (``yt`` is a contiguous copy, so
-    NumPy never takes its slower syrk path for a whole matrix), and
-    ``bound`` bounds |e| by Cauchy-Schwarz. ``e`` adds ``rho`` on request:
-    without ``plan`` the full (M, M) matrix, sq-euclid's diagonal zeroed;
-    with one, the factors cover the plan's support block, ``p`` is written
-    into its buffer and the ratio kernel then works there in place, so read
-    ``e`` first. ``backward`` takes ``G = diag(kappa) W``, the kernel's row
-    coefficient and the W it left in the plan, or a dense gradient G on ``e``
-    (W = G, kappa = 1), to z and the kernel parameters with two products with
-    the block, once, after the loss.
+    ``yt`` is a contiguous copy of y.T, so a product with it is one general
+    product (NumPy never takes its slower syrk path for a whole matrix), and
+    ``bound`` bounds |e| by Cauchy-Schwarz. Without ``plan`` the factors
+    cover the full (M, M) matrix; with one, the plan's support block, which
+    the loss never forms whole: ``ratio_terms`` writes it into the plan's
+    buffer a row panel at a time, ``x[rows] @ yt``, runs the ratio kernel
+    there and returns the gradient on the factors. ``e`` is the product plus
+    ``rho``, formed afresh on request: the full matrix, sq-euclid's diagonal
+    zeroed, or the block. ``backward`` takes ``ratio_terms``'s gradient on
+    the factors, or a dense gradient G on ``e`` (whose gradient on the
+    factors is G y and G.T x), to z and the kernel parameters, once, after
+    the loss.
     """
 
     def __init__(self, z, params, plan=None):
         self.z = np.asarray(z, dtype=float)
         self.params = params
-        self.plan = plan
         # The block's row and column entries; None for the whole matrix.
         self._block = None if plan is None or plan.whole else (plan.rows, plan.cols)
         build = _sq_euclid if params.kind == "sq-euclid" else _cosine
-        # _chain closes over the factor arrays, not over self: a cycle
-        # would hold the plan's buffer until the garbage collector runs.
+        # _chain closes over the factor arrays, not over self, so an
+        # ExponentMatrix is freed as soon as its last reference goes.
         self.x, self.yt, self.rho, self.bound, self._chain = build(self.z, params, self._block)
-        self.p = np.matmul(self.x, self.yt, out=None if plan is None else plan.w)
 
     @property
     def e(self):
-        """The exponents ``p + rho``, a fresh array."""
-        e = self.p + np.reshape(self.rho, (-1, 1))
+        """The exponents ``x @ yt + rho``, a fresh array."""
+        e = self.x @ self.yt
+        e += np.reshape(self.rho, (-1, 1))
         if self._block is None and self.params.kind == "sq-euclid":
             np.fill_diagonal(e, 0.0)
         return e
 
     def backward(self, grad):
         """(grad_z, grad_kernel dict with gamma/beta/proj where trainable) from
-        ``ratio_terms``'s ``(kappa, grad_rho)`` or a dense gradient on e."""
-        x, y = self.x, self.yt.T
+        ``ratio_terms``'s ``(gx, gy, grad_rho)`` or a dense gradient on e."""
         if isinstance(grad, np.ndarray):
-            return self._chain(grad @ y, grad.T @ x, grad.sum(axis=1))
-        kappa, grho = grad
-        k, w = kappa[:, None], self.plan.w  # G = diag(kappa) W
-        return self._chain((w @ y) * k, w.T @ (k * x), grho)
+            return self._chain(grad @ self.yt.T, grad.T @ self.x, grad.sum(axis=1))
+        return self._chain(*grad)
 
 
 def _sides(block, x):

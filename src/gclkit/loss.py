@@ -21,16 +21,19 @@ of the complete form receive each entry as a Python float.
 Every evaluation runs on the matrix's loss plan (``AffinityMatrix._plan``,
 see ``_core_py``): its support block, the active rows (A of them) against
 the columns with a nonzero cell on them, built on the first evaluation and
-held with its float64 buffer while the matrix lives, so one matrix must not
-be evaluated from two threads at once. Each kernel's exponent is a product
-of (M, D') factors plus a per-row constant (see ``ExponentMatrix``): the
-block holds the product, the ratio kernel works in it in place and returns
-one coefficient per row instead of a gradient on the block, and the
-backward pass takes the rows scaled by it to the factors with two products.
-The finiteness check is O(M * D'): only where the factors' Cauchy-Schwarz
-bound on |e| is not comfortably finite is the block itself checked. No
-array of a report is a plan buffer: ``per_anchor``, ``grad_z`` and the
-kernel gradients are fresh on every call.
+held with its float64 panel buffer while the matrix lives, so one matrix
+must not be evaluated from two threads at once. Each kernel's exponent is a
+product of (M, D') factors plus a per-row constant (see ``ExponentMatrix``),
+and the block is never formed whole past one panel (384 KiB): one row panel
+at a time, the buffer holds the panel's product, the ratio kernel works in
+it in place and yields one coefficient per row instead of a gradient on the
+block, and the panel's rows scaled by it are taken to the factors with two
+products before the next panel overwrites it. The backward pass then takes
+the factors' gradient to the embeddings and kernel parameters. The
+finiteness check is O(M * D'): only where the factors' Cauchy-Schwarz bound
+on |e| is not comfortably finite is each panel's product checked, before
+the kernel reads it. No array of a report is a plan buffer: ``per_anchor``,
+``grad_z`` and the kernel gradients are fresh on every call.
 
 ``oracle_episode`` and ``oracle_ntxent`` are deliberately naive direct
 implementations of the prototypical episode loss and the two-view NT-Xent
@@ -89,12 +92,10 @@ def _evaluate(batch, affinity, kernel_params, options, with_grad):
             report.grad_kernel = {}
         return report
 
-    em = kernels.exponent_matrix(batch, kernel_params, plan)  # the plan's block
-    if not em.bound < 1e300 and not np.isfinite(em.e).all():  # |e| <= em.bound
-        raise FloatingPointError("non-finite exponent in similarity matrix")
+    em = kernels.exponent_matrix(batch, kernel_params, plan)  # the factors of the plan's block
     log_transform = options.ratio_transform == "negated-log-ratio"
-    loss, r, grad = ratio_terms(em.p, affinity.a, affinity.active, options.epsilon,
-                                log_transform, 1.0 / n_active, plan, em.rho)
+    loss, r, grad = ratio_terms(em, affinity.a, affinity.active, options.epsilon,
+                                log_transform, 1.0 / n_active, plan, with_grad)
     report = LossReport(loss=float(loss), per_anchor=r, active=affinity.active)
     if with_grad:
         report.grad_z, report.grad_kernel = em.backward(grad)

@@ -255,7 +255,7 @@ class TestInPlaceArithmetic:
             grad_e[cells] = rng.normal(size=plan.shape)
             e, grad_z, grad_k = _direct(z, params, grad_e)
             em = kernels.ExponentMatrix(z, params, plan)
-            assert em.p is plan.w and _close(em.e, e[cells])
+            assert _close(em.e, e[cells])
             got_z, got_k = em.backward(grad_e[cells].copy())
             assert _close(got_z, grad_z)
             assert got_k.keys() == grad_k.keys()

@@ -19,13 +19,16 @@ the outputs hold inf and NaN; those cases are held to stay non-finite
 
 Every evaluation runs on a loss plan: a matrix builds its own
 (``AffinityMatrix._plan``) on its first evaluation and keeps it, with its
-float64 buffer of the block's shape, while it lives, and a call of the
-kernel without one builds a throwaway plan. ``reference_gcl_grad`` is the
-evaluation written directly over the whole matrix, with every array
+float64 buffer of one row panel of the block, while it lives, and a call of
+the kernel without one builds a throwaway plan. ``reference_gcl_grad`` is
+the evaluation written directly over the whole matrix, with every array
 allocated anew; ``gcl_grad`` on a fresh matrix and on one matrix reused
-across batches and kernels must agree with it within ``RTOL``, no report may
-share memory with another report or with the plan, and an evaluation after
-a matrix's first allocates no array of the block's size.
+across batches and kernels must agree with it within ``RTOL``, in one panel
+and in many (``_PANEL_BYTES`` is lowered to split small blocks), no report
+may share memory with another report or with the plan, and an evaluation
+after a matrix's first allocates no array of the block's size. Past one
+panel no evaluation does: the check for non-finite exponents and a
+diverged row's NaN reach every panel.
 """
 
 import decimal
@@ -480,16 +483,45 @@ def test_reused_matrix_allocates_no_block_sized_array(name, n, d):
         tracemalloc.stop()
     assert matrix._plan.shape == (128, 128)
     block = 8 * 128 * 128
-    # The plan's buffer W, of the block's shape on every path.
+    # The plan's buffer W, of the block's shape on every path (one panel).
     assert peaks[0] >= block
     assert max(peaks[1:]) < 0.8 * block, [p / block for p in peaks]
+
+
+def test_evaluations_past_one_panel_allocate_no_block_sized_array():
+    # Type 4 at N = 384: a (768, 768) block of 4.7 MB, evaluated in 64-row
+    # panels of 384 KiB. The O(M * D) factors and gradients and NumPy's
+    # 64 KiB ufunc buffer stay under 0.1 of a block here, so a temporary of
+    # half a block fails both bounds. The first evaluation also runs the
+    # matrix's one-time checks of its int8 entries (the entry check and the
+    # plan's partner search), whose temporaries hold one byte per cell, an
+    # eighth of a block each: its bound is 0.3.
+    rng = np.random.default_rng(28)
+    n, d = 384, 8
+    matrix = aff.type4_affinity(n)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for params in _kernels(rng, d):
+            for _ in range(2):
+                batch = _batch(rng, n, 0, d)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                losses.gcl_grad(batch, matrix, params)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    block = 8 * 768 * 768
+    assert matrix._plan.w.nbytes == _core_py._PANEL_BYTES < 0.1 * block
+    assert peaks[0] < 0.3 * block, [p / block for p in peaks]
+    assert max(peaks[1:]) < 0.15 * block, [p / block for p in peaks]
 
 
 def test_plan_block_of_each_layout():
     # The block is the active rows x the columns with a nonzero cell on
     # them; it holds every nonzero cell of the active rows, and the masks
-    # and the one float buffer, W, have its shape. Types 1 and 3 take every
-    # other row and column.
+    # and the one float buffer, W (one panel at this size), have its shape.
+    # Types 1 and 3 take every other row and column.
     n = 6
     every, even, odd = np.arange(2 * n), np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
     cases = {  # name: (matrix, rows, cols, dense path)
@@ -571,15 +603,16 @@ def test_masked_row_whose_positive_cell_underflows():
     _assert_report(report, reference_gcl_grad(batch, matrix, params, options), "underflow")
 
 
-def _raise_layouts():
-    """(matrix, (N, N')) of every layout the loss plan distinguishes, at M = 8."""
+def _raise_layouts(n=4):
+    """(matrix, (N, N')) of every layout the loss plan distinguishes, at M = 2n."""
+    h = n // 2
     return {
-        "type1": (aff.type1_affinity(4), (4, 0)),
-        "type2": (aff.type2_affinity(4), (4, 0)),
-        "type3": (aff.type3_affinity(4), (4, 0)),
-        "type4": (aff.type4_affinity(4), (4, 0)),
-        "semi": (aff.semi_affinity(2, 2), (2, 2)),
-        "semi-relaxed": (aff.semi_affinity(2, 2, relaxed_unlabeled=True), (2, 2)),
+        "type1": (aff.type1_affinity(n), (n, 0)),
+        "type2": (aff.type2_affinity(n), (n, 0)),
+        "type3": (aff.type3_affinity(n), (n, 0)),
+        "type4": (aff.type4_affinity(n), (n, 0)),
+        "semi": (aff.semi_affinity(h, h), (h, h)),
+        "semi-relaxed": (aff.semi_affinity(h, h, relaxed_unlabeled=True), (h, h)),
     }
 
 
@@ -631,3 +664,120 @@ def test_diverged_rows_stay_loud_through_gcl_grad(name, dense, transform):
             report = losses.gcl_grad(batch, matrix, KernelParams("sq-euclid"), options)
         assert not report.per_anchor[matrix.active].any()
         assert np.isnan(report.grad_z[matrix.active]).all()
+
+
+def _panel_rows(monkeypatch, rows, c):
+    """Give plans built from here on ``rows``-row panels on a block of C = ``c``."""
+    monkeypatch.setattr(_core_py, "_PANEL_BYTES", 8 * c * rows)
+
+
+# M = 22. A block of C = 22 columns (every layout but types 1 and 3) takes
+# panels of 11 rows (two whole panels), 7 (3 x 7 + a panel of 1), 5
+# (4 x 5 + 2), 21 (a last panel of one row) and 1 (every panel one row);
+# types 1 and 3's (11, 11) block takes panels of twice as many rows.
+@pytest.mark.parametrize("rows", [11, 7, 5, 21, 1])
+@pytest.mark.parametrize("transform", losses.TRANSFORMS)
+def test_panels_match_reference_fresh_and_reused(monkeypatch, rows, transform):
+    n, d = 11, 6
+    _panel_rows(monkeypatch, rows, 2 * n)
+    rng = np.random.default_rng([rows, len(transform)])
+    options = losses.GclOptions(ratio_transform=transform)
+    kernels = _kernels(rng, d)
+    for name, matrix, (n_labeled, n_unlabeled) in _plan_layouts(n, rng):
+        plan = matrix._plan
+        assert plan.w.shape == (min(plan.shape[0], rows * 2 * n // plan.shape[1]),
+                                plan.shape[1]), name
+        for params in kernels:
+            for step in range(2):
+                batch = _batch(rng, n_labeled, n_unlabeled, d)
+                key = (name, params.kind, step)
+                want = reference_gcl_grad(batch, matrix, params, options)
+                fresh = aff.AffinityMatrix(matrix.a)
+                _assert_report(losses.gcl_grad(batch, fresh, params, options), want, key)
+                _assert_report(losses.gcl_grad(batch, matrix, params, options), want, key)
+                value = losses.gcl(batch, matrix, params, options)
+                assert _close(value.loss, want[0]) and _close(value.per_anchor, want[1]), key
+
+
+@pytest.mark.parametrize("name", ["type4", "semi-relaxed"])
+def test_panels_at_wide_scale(name):
+    # M = 768 at the module's panel size: 64-row panels of 384 KiB, on the
+    # dense and the masked path.
+    rng = np.random.default_rng(32)
+    d = 16
+    matrix, (n_labeled, n_unlabeled) = _raise_layouts(384)[name]
+    batch = _batch(rng, n_labeled, n_unlabeled, d)
+    for params, transform in zip(_kernels(rng, d), losses.TRANSFORMS * 2):
+        options = losses.GclOptions(ratio_transform=transform)
+        want = reference_gcl_grad(batch, matrix, params, options)
+        _assert_report(losses.gcl_grad(batch, matrix, params, options), want, params.kind)
+        value = losses.gcl(batch, matrix, params, options)
+        assert _close(value.loss, want[0]) and _close(value.per_anchor, want[1])
+    # The plan's only float array is the panel buffer: no (R, C) block.
+    plan = matrix._plan
+    floats = [x for x in vars(plan).values() if isinstance(x, np.ndarray) and x.dtype.kind == "f"]
+    assert len(floats) == 1 and floats[0] is plan.w
+    assert plan.w.shape == (64, 768) and plan.w.nbytes == _core_py._PANEL_BYTES
+
+
+def _opposed_pair(rng, m, i, d=3):
+    """Embeddings whose only non-finite sq-euclid exponents are on rows i and
+    i + 1: finite squared norms (about 1e308) of x and -x, whose cross term
+    2 x.y is -inf."""
+    z = rng.normal(0.0, 0.5, size=(m, d))
+    x = rng.normal(size=d)
+    z[i] = x * (1e154 / np.linalg.norm(x))
+    z[i + 1] = -z[i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = ExponentMatrix(z, KernelParams("sq-euclid")).e
+    bad = np.flatnonzero(~np.isfinite(e).all(axis=1))
+    assert bad.tolist() == [i, i + 1]
+    return z
+
+
+@pytest.mark.parametrize("name", ["type1", "type2", "type3", "type4", "semi", "semi-relaxed"])
+@pytest.mark.parametrize("pair", [8, 22], ids=["middle-panel", "last-panel"])
+def test_non_finite_exponent_in_a_later_panel_raises(monkeypatch, name, pair):
+    # M = 24 in 4-row panels: rows 8-9 are in the third of six panels of a
+    # whole-matrix block and in the second of three of types 1 and 3's
+    # (12, 12) block; rows 22-23 are in the last. No other row holds a
+    # non-finite exponent, so every panel's cells must be checked.
+    _panel_rows(monkeypatch, 4, 12 if name in ("type1", "type3") else 24)
+    rng = np.random.default_rng([33, pair])
+    matrix, (n_labeled, n_unlabeled) = _raise_layouts(12)[name]
+    plan = matrix._plan
+    assert plan.w.shape[0] == 4 and plan.shape[0] > 4 and pair in plan.rows
+    assert np.flatnonzero(plan.rows == pair)[0] >= 4
+    batch = batching.RepresentationBatch(_opposed_pair(rng, 24, pair),
+                                         *batching.canonical_tags(n_labeled, n_unlabeled),
+                                         n_labeled, n_unlabeled)
+    for fn in (losses.gcl_grad, losses.gcl):
+        with pytest.raises(FloatingPointError, match="non-finite exponent"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            fn(batch, matrix, KernelParams("sq-euclid"))
+
+
+@pytest.mark.parametrize("transform", losses.TRANSFORMS)
+@pytest.mark.parametrize("name", ["type4", "semi", "type2", "semi-relaxed"])
+@pytest.mark.parametrize("row", [9, 23], ids=["middle-panel", "last-panel"])
+def test_a_diverged_row_in_a_later_panel_stays_loud(monkeypatch, name, row, transform):
+    # M = 24 in 4-row panels. Row ``row`` is 100 units from every other
+    # entry, so its largest sq-euclid exponent is -1e4, eps * exp(-max)
+    # overflows and its ratio collapses to 0. Its NaN must reach the
+    # gradient, and through the column side every entry's, so that train()
+    # stops. The other rows keep positive ratios, except its partner's,
+    # whose one positive cell underflows to 0.
+    _panel_rows(monkeypatch, 4, 24)
+    rng = np.random.default_rng([34, row])
+    matrix, (n_labeled, n_unlabeled) = _raise_layouts(12)[name]
+    options = losses.GclOptions(ratio_transform=transform)
+    for _ in range(2):
+        z = rng.normal(0.0, 0.5, size=(24, 4))
+        z[row, 0] += 100.0
+        batch = batching.RepresentationBatch(
+            z, *batching.canonical_tags(n_labeled, n_unlabeled), n_labeled, n_unlabeled)
+        with np.errstate(all="ignore"):
+            report = losses.gcl_grad(batch, matrix, KernelParams("sq-euclid"), options)
+        assert report.per_anchor[row] == 0.0
+        assert np.all(np.delete(report.per_anchor, [row - 1, row]) > 0.0)
+        assert np.isnan(report.grad_z[row]).all() and np.isnan(report.grad_z).any(axis=1).all()
