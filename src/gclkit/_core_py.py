@@ -147,9 +147,10 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None, grad=True
     log_transform : apply log to each ratio before averaging.
     inv_norm : 1 / normalization count.
     plan : the ``_LossPlan`` of ``a`` and ``active``, such as an affinity
-        matrix's (``AffinityMatrix._plan``). Without one, a throwaway plan
-        is built, the block is copied whole and every returned array is
-        fresh.
+        matrix's (``AffinityMatrix._plan``), with at least one active row:
+        ``loss`` returns a zero loss before the kernel when there is none.
+        Without one, a throwaway plan is built, the block is copied whole
+        and every returned array is fresh.
     grad : with a plan, whether to form the gradient; without one, it is.
 
     Returns
@@ -175,13 +176,10 @@ def ratio_terms(e, a, active, eps, log_transform, inv_norm, plan=None, grad=True
             g[cells] = block
         r[plan.rows] = ratios
         return _loss(ratios, log_transform, inv_norm), r, g
-    n = plan.shape[0]
-    if not n:
-        return 0.0, r, None
     x, yt, rho, step = e.x, e.yt, e.rho, plan.w.shape[0]
     check, rows_rho = not e.bound < 1e300, isinstance(rho, np.ndarray)
     gy, panels = None, []
-    for r0 in range(0, n, step):
+    for r0 in range(0, plan.shape[0], step):
         xs, rho_s = x[r0 : r0 + step], rho[r0 : r0 + step] if rows_rho else rho
         w = np.matmul(xs, yt, out=plan.w[: len(xs)])
         if check and not np.isfinite(w + np.reshape(rho_s, (-1, 1))).all():

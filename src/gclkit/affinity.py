@@ -61,14 +61,18 @@ class AffinityMatrix:
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
 
-    @property
-    def size(self):
-        return self.a.shape[0]
-
     @cached_property
     def ternary(self):
-        """True if every entry is -1, 0 or +1."""
-        return np.array_equal(np.sign(self.a), self.a)
+        """True if every entry is -1, 0 or +1.
+
+        An integer or bool matrix is checked by its range, which allocates
+        no per-cell temporary; a float one by its signs, which also rejects
+        NaN.
+        """
+        a = self.a
+        if a.dtype.kind in "biu":
+            return bool(a.min(initial=0) >= -1 and a.max(initial=0) <= 1)
+        return np.array_equal(np.sign(a), a)
 
     @cached_property
     def active(self):

@@ -208,19 +208,17 @@ def build_augmented_batch(encoded):
 
 
 def merge_semi_batch(z0, z1):
-    """Union of a labeled and an unlabeled batch, labeled entries first."""
-    if z1.size == 0:
-        return z0
-    if z0.size == 0:
-        return z1
+    """Union of a labeled and an unlabeled batch, labeled entries first.
+
+    Both come from the builders, so both carry a source map: the merged map
+    covers z0's pool rows, then z1's.
+    """
     if z0.n_unlabeled or z1.n_labeled:
         raise ValueError("merge expects an all-labeled batch then an all-unlabeled one")
     if z0.dim != z1.dim:
         raise ValueError(f"embedding dims differ: {z0.dim} vs {z1.dim}")
-    source_entry = source_coeff = None
-    if z0.source_entry is not None and z1.source_entry is not None:
-        source_entry = np.concatenate([z0.source_entry, z1.source_entry + z0.size])
-        source_coeff = np.concatenate([z0.source_coeff, z1.source_coeff])
+    source_entry = np.concatenate([z0.source_entry, z1.source_entry + z0.size])
+    source_coeff = np.concatenate([z0.source_coeff, z1.source_coeff])
     n_labeled, n_unlabeled = z0.n_labeled, z1.n_unlabeled
     return RepresentationBatch(np.vstack([z0.z, z1.z]), *canonical_tags(n_labeled, n_unlabeled),
                                n_labeled, n_unlabeled, source_entry, source_coeff)

@@ -35,11 +35,8 @@ def split_dataset(dataset, n_holdout, seed):
     if not 0 <= n_holdout < len(speakers):
         raise ValueError(f"cannot hold out {n_holdout} speakers: dataset has {len(speakers)}, "
                          "and at least one must stay for training")
-    rng = substream(seed, "split")
-    held = rng.choice(speakers, size=n_holdout, replace=False) if n_holdout else []
-    mask = np.isin(dataset.labels, held)
-    train_ds = synth.LabeledDataset(dataset.features[~mask], dataset.labels[~mask])
-    held_ds = synth.LabeledDataset(dataset.features[mask], dataset.labels[mask])
+    held_ds, train_ds = synth._split_speakers(dataset, speakers, n_holdout,
+                                              substream(seed, "split"))
     return train_ds, held_ds
 
 
@@ -157,10 +154,9 @@ def load_checkpoint(path):
     return encoder, kernel, meta
 
 
-def write_metrics(path, metrics, timestamp=True):
+def write_metrics(path, metrics):
     with open(path, "w") as fh:
-        stamp = time.strftime("%Y-%m-%dT%H:%M:%S") if timestamp else "fixed"
-        fh.write(f"# {CSV_SCHEMA} generated={stamp}\n")
+        fh.write(f"# {CSV_SCHEMA} generated={time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         fh.write("step,mode,loss,mean_ratio,grad_norm,unlabeled_per_batch,eer_on_val\n")
         for r in metrics:
             eer_s = "" if r.eer_on_val is None else repr(r.eer_on_val)

@@ -90,10 +90,8 @@ class ExponentMatrix:
     buffer a row panel at a time, ``x[rows] @ yt``, runs the ratio kernel
     there and returns the gradient on the factors. ``e`` is the product plus
     ``rho``, formed afresh on request: the full matrix, sq-euclid's diagonal
-    zeroed, or the block. ``backward`` takes ``ratio_terms``'s gradient on
-    the factors, or a dense gradient G on ``e`` (whose gradient on the
-    factors is G y and G.T x), to z and the kernel parameters, once, after
-    the loss.
+    zeroed, or the block. ``backward`` takes that gradient on the factors
+    to z and the kernel parameters, once, after the loss.
     """
 
     def __init__(self, z, params, plan=None):
@@ -117,9 +115,7 @@ class ExponentMatrix:
 
     def backward(self, grad):
         """(grad_z, grad_kernel dict with gamma/beta/proj where trainable) from
-        ``ratio_terms``'s ``(gx, gy, grad_rho)`` or a dense gradient on e."""
-        if isinstance(grad, np.ndarray):
-            return self._chain(grad @ self.yt.T, grad.T @ self.x, grad.sum(axis=1))
+        ``ratio_terms``'s ``(gx, gy, grad_rho)``."""
         return self._chain(*grad)
 
 

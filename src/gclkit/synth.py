@@ -75,21 +75,16 @@ def synth_dataset(config, rng=None):
     return LabeledDataset(features=features, labels=labels)
 
 
-def nearest_class_mean_errors(dataset):
-    """Leave-one-out nearest-class-mean misclassifications on raw features."""
-    classes = np.unique(dataset.labels)
-    sums = np.stack([dataset.features[dataset.labels == c].sum(axis=0) for c in classes])
-    counts = np.array([(dataset.labels == c).sum() for c in classes])
-    errors = 0
-    for x, y in zip(dataset.features, dataset.labels):
-        own = np.searchsorted(classes, y)
-        m = sums.copy()
-        n = counts.astype(float).copy()
-        m[own] -= x
-        n[own] -= 1
-        d = np.linalg.norm(m / n[:, None] - x, axis=1)
-        errors += int(classes[np.argmin(d)] != y)
-    return errors
+def _split_speakers(dataset, speakers, k, rng):
+    """(the rows of k of ``speakers``, the other rows), as two datasets.
+
+    The k are one ``rng.choice(speakers, k, replace=False)``; k = 0 draws
+    nothing. ``cli.split_dataset`` and ``hide_labels`` both split this way.
+    """
+    chosen = rng.choice(speakers, size=k, replace=False) if k else speakers[:0]
+    mask = np.isin(dataset.labels, chosen)
+    return (LabeledDataset(dataset.features[mask], dataset.labels[mask]),
+            LabeledDataset(dataset.features[~mask], dataset.labels[~mask]))
 
 
 def hide_labels(dataset, p, rng):
@@ -101,11 +96,8 @@ def hide_labels(dataset, p, rng):
     speakers = np.unique(dataset.labels)
     if p > len(speakers):
         raise ValueError(f"P={p} exceeds {len(speakers)} speakers")
-    keep = rng.choice(speakers, size=p, replace=False) if p else np.array([], dtype=int)
-    mask = np.isin(dataset.labels, keep)
-    labeled = LabeledDataset(dataset.features[mask], dataset.labels[mask])
-    unlabeled = dataset.features[~mask]
-    return labeled, unlabeled
+    labeled, rest = _split_speakers(dataset, speakers, p, rng)
+    return labeled, rest.features
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 Each suite returns (name, passed, detail). ``run_all`` prints one line per
 suite and reports overall success; the CLI maps that to its exit code.
-Suite functions accept the loss entry points as parameters so a harness can
+The suites of ``gcl`` take it as a parameter, ``gcl_fn``, so a harness can
 inject a broken implementation and confirm the suite catches it.
 """
 
@@ -98,36 +98,21 @@ def _grad_case(rng, kind, affinity_name, transform="negated-ratio"):
 def gradient_case_error(rep, matrix, params, options, h=1e-4):
     """Max relative error of all analytic gradients vs central differences."""
     report = losses.gcl_grad(rep, matrix, params, options)
-    theta = [rep.z.ravel()]
-    analytic = [report.grad_z.ravel()]
-    names = ["z"]
-    gk = report.grad_kernel or {}
-    for name in ("gamma", "beta", "proj"):
-        if name in gk:
-            theta.append(np.atleast_1d(np.asarray(getattr(params, name), float)).ravel())
-            analytic.append(np.atleast_1d(np.asarray(gk[name], float)).ravel())
-            names.append(name)
-    sizes = [t.size for t in theta]
-    x0 = np.concatenate(theta)
+    names = [name for name in ("gamma", "beta", "proj") if name in report.grad_kernel]
+    theta = [rep.z] + [getattr(params, name) for name in names]
+    analytic = [report.grad_z] + [report.grad_kernel[name] for name in names]
+    cuts = np.cumsum([np.size(t) for t in theta])[:-1]
 
     def f(x):
-        pos = 0
-        pieces = []
-        for s in sizes:
-            pieces.append(x[pos : pos + s])
-            pos += s
-        rep2 = dataclasses.replace(rep, z=pieces[0].reshape(rep.z.shape))
-        params2 = KernelParams(params.kind, tau=params.tau, gamma=params.gamma,
-                               beta=params.beta,
-                               proj=None if params.proj is None else params.proj.copy())
-        for name, piece in zip(names[1:], pieces[1:]):
-            if name == "proj":
-                params2.proj = piece.reshape(params.proj.shape)
-            else:
-                setattr(params2, name, float(piece[0]))
-        return losses.gcl(rep2, matrix, params2, options).loss
+        z, *pieces = (p.reshape(np.shape(t)) for p, t in zip(np.split(x, cuts), theta))
+        changes = {name: p if name == "proj" else float(p) for name, p in zip(names, pieces)}
+        return losses.gcl(dataclasses.replace(rep, z=z), matrix,
+                          dataclasses.replace(params, **changes), options).loss
 
-    return losses.finite_diff_check(f, np.concatenate(analytic), x0, h)
+    def flat(values):
+        return np.concatenate([np.ravel(v) for v in values])
+
+    return losses.finite_diff_check(f, flat(analytic), flat(theta), h)
 
 
 def suite_gradients(cases=100, seed=14):
@@ -194,7 +179,7 @@ def siamese_spec(margin):
     return losses.CompleteFormSpec(scorer=scorer, psi="identity", orientation="cost")
 
 
-def suite_complete_form(cases=50, seed=15, complete_fn=losses.complete_form):
+def suite_complete_form(cases=50, seed=15):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -203,9 +188,9 @@ def suite_complete_form(cases=50, seed=15, complete_fn=losses.complete_form):
         encoded = rng.normal(size=(n, 2, d))
         rep = batching.build_prototype_batch(encoded)
         margin = float(rng.uniform(0.1, 2.0))
-        got = complete_fn(rep, aff.type2_affinity(n), triplet_spec(margin)).loss
+        got = losses.complete_form(rep, aff.type2_affinity(n), triplet_spec(margin)).loss
         worst = max(worst, abs(got - triplet_oracle(rep, margin)))
-        got = complete_fn(rep, aff.type1_affinity(n), siamese_spec(margin)).loss
+        got = losses.complete_form(rep, aff.type1_affinity(n), siamese_spec(margin)).loss
         worst = max(worst, abs(got - siamese_oracle(rep, margin)))
     return "complete-form", worst < EQUIV_TOL, f"max |diff| = {worst:.3e}"
 

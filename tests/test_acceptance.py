@@ -17,8 +17,10 @@ from gclkit import loss as losses
 from gclkit.encoder import Encoder
 from gclkit.evaluate import build_trials, eer, score_trials
 from gclkit.kernels import KernelParams
-from gclkit.synth import SyntheticConfig, hide_labels, nearest_class_mean_errors, synth_dataset
+from gclkit.synth import SyntheticConfig, hide_labels, synth_dataset
 from gclkit.train import TrainConfig, evaluate_encoder, train
+
+from conftest import nearest_class_mean_errors
 
 EQUIV_TOL = 1e-10
 GRAD_TOL = 1e-4

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +223,22 @@ class TestMemoizedChecks:
             a[1, 2] = bad
             assert not aff.AffinityMatrix(a).ternary
 
+    def test_int8_entry_check_allocates_no_per_cell_array(self):
+        # A type-4 N = 384 matrix is 768 x 768 int8 cells (576 KiB); its entry
+        # check reads the range, with no temporary of one byte per cell.
+        m = aff.type4_affinity(384)
+        tracemalloc.start()
+        try:
+            assert m.ternary
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * m.a.nbytes, peak
+        for dtype, bad in ((np.int8, 2), (np.int8, -2), (float, 0.5)):
+            a = np.zeros((4, 4), dtype=dtype)
+            a[1, 2] = bad
+            assert not aff.AffinityMatrix(a).ternary, (dtype, bad)
+
     def test_every_call_checks_shape_and_size(self):
         m = aff.type4_affinity(2)
         aff.validate(m, self._batch(2))
@@ -246,8 +264,8 @@ class TestPartner:
         for m in (aff.type4_affinity(1), aff.type4_affinity(6), aff.semi_affinity(3, 4),
                   aff.semi_affinity(0, 2)):
             a = m.a
-            rows = np.arange(m.size)
-            assert np.array_equal(a[rows, m._plan.partner], np.ones(m.size))
+            rows = np.arange(len(m.a))
+            assert np.array_equal(a[rows, m._plan.partner], np.ones(len(m.a)))
             assert np.array_equal(m._plan.partner, rows ^ 1)  # the other view of the pair
 
     def test_type3_query_x_prototype_block(self):

@@ -109,13 +109,6 @@ class TestAugmentedBatch:
 
 
 class TestMergeAndSplit:
-    def test_empty_unlabeled_returns_labeled(self, rng):
-        rep = random_prototype_batch(rng)
-        empty = batching.RepresentationBatch(
-            z=np.zeros((0, rep.dim)), groups=np.zeros(0, int), indices=np.zeros(0, int),
-            slots=np.zeros(0, int), n_labeled=0, n_unlabeled=0)
-        assert batching.merge_semi_batch(rep, empty) is rep
-
     def test_cardinality(self, rng):
         merged = batching.merge_semi_batch(random_prototype_batch(rng, n=2, d=4),
                                            random_augmented_batch(rng, n=3, d=4))

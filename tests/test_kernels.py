@@ -8,6 +8,12 @@ from gclkit.loss import finite_diff_grad, max_rel_err
 from conftest import random_prototype_batch
 
 
+def _dense_backward(em, grad_e):
+    """``em.backward`` of a dense gradient G on ``em.e``: the factors' gradient
+    is (G y, G.T x) and rho's is G's row sums."""
+    return em.backward((grad_e @ em.yt.T, grad_e.T @ em.x, grad_e.sum(axis=1)))
+
+
 class TestScalarKernels:
     def test_sqeuclid_identical_points(self):
         assert kernels.sqeuclid_exponent([1.0, 2.0], [1.0, 2.0]) == 0.0
@@ -122,7 +128,7 @@ class TestExponentMatrix:
         p = kernels.KernelParams("affine-cosine", gamma=2.0, beta=0.5)
         em = kernels.ExponentMatrix(z, p)
         assert em.e[0, 1] == pytest.approx(p.beta)
-        grad_z, _ = em.backward(np.ones((2, 2)))
+        grad_z, _ = _dense_backward(em, np.ones((2, 2)))
         assert np.all(grad_z[0] == 0.0)
 
 
@@ -131,7 +137,7 @@ class TestBackward:
 
     def _check(self, z, params, grad_e, extra=()):
         em = kernels.ExponentMatrix(z, params)
-        grad_z, grad_k = em.backward(grad_e)
+        grad_z, grad_k = _dense_backward(em, grad_e)
 
         def loss_at(z2, params2):
             return float(np.sum(grad_e * kernels.ExponentMatrix(z2, params2).e))
@@ -230,7 +236,7 @@ class TestInPlaceArithmetic:
         assert _close(em.e, e)
         if kind == "sq-euclid":
             assert not em.e.diagonal().any()
-        got_z, got_k = em.backward(grad_e)
+        got_z, got_k = _dense_backward(em, grad_e)
         assert _close(got_z, grad_z)
         assert got_k.keys() == grad_k.keys()
         # Sums over the cells of grad_e, held to the scale of their terms.
@@ -249,14 +255,14 @@ class TestInPlaceArithmetic:
                        aff.type4_affinity(n), aff.semi_affinity(3, 2),
                        aff.semi_affinity(3, 2, relaxed_unlabeled=True)):
             plan = matrix._plan
-            z = rng.normal(0.0, scale, size=(matrix.size, 4))
+            z = rng.normal(0.0, scale, size=(len(matrix.a), 4))
             cells = np.ix_(plan.rows, plan.cols)
-            grad_e = np.zeros((matrix.size, matrix.size))
+            grad_e = np.zeros((len(matrix.a), len(matrix.a)))
             grad_e[cells] = rng.normal(size=plan.shape)
             e, grad_z, grad_k = _direct(z, params, grad_e)
             em = kernels.ExponentMatrix(z, params, plan)
             assert _close(em.e, e[cells])
-            got_z, got_k = em.backward(grad_e[cells].copy())
+            got_z, got_k = _dense_backward(em, grad_e[cells].copy())
             assert _close(got_z, grad_z)
             assert got_k.keys() == grad_k.keys()
             for name, g in grad_k.items():

@@ -160,7 +160,7 @@ def _exponents(rng, kind, scale, m, d=8):
 def test_matches_reference_over_grid(n, kind, scale, log_transform):
     rng = np.random.default_rng([n, int(scale * 10), len(kind)])
     for name, layout in _layouts(n).items():
-        e = _exponents(rng, kind, scale, layout.size)
+        e = _exponents(rng, kind, scale, len(layout.a))
         for a in (layout.a, layout.a.astype(float)):
             active = _active(layout.a)
             # Types 1-2 and relaxed semi keep the masked path covered. With
@@ -198,7 +198,7 @@ def test_gradient_keeps_its_digits_where_the_ratio_is_near_one(log_transform):
     for n, kind, scale in ((1, "sq-euclid", 0.3), (1, "affine-cosine", 3.0),
                            (5, "sq-euclid", 0.3), (5, "affine-cosine", 3.0)):
         for name, layout in _layouts(n).items():
-            e = _exponents(rng, kind, scale, layout.size)
+            e = _exponents(rng, kind, scale, len(layout.a))
             a, active = layout.a, _active(layout.a)
             inv_norm = 1.0 / int(np.count_nonzero(active))
             want = _decimal_ratio_grad(e, a, active, 1e-12, log_transform, inv_norm)
@@ -239,7 +239,7 @@ def _dense_layouts():
 def test_partner_path_matches_reference(kind, scale, log_transform):
     rng = np.random.default_rng([int(scale * 10), len(kind)])
     for name, layout in _dense_layouts().items():
-        e = _exponents(rng, kind, scale, layout.size)
+        e = _exponents(rng, kind, scale, len(layout.a))
         for a in (layout.a, layout.a.astype(float)):
             assert _core_py._LossPlan(a, layout.active).partner is not None, name
             _assert_close(e, a, layout.active, log_transform)
@@ -252,8 +252,8 @@ def test_partner_path_row_max_below_exp_range(log_transform):
     # max. Every active row's ratio collapses to 0 and its gradient is NaN.
     rng = np.random.default_rng(12)
     for layout in (aff.type4_affinity(4), aff.semi_affinity(3, 2), aff.type3_affinity(4)):
-        e = _exponents(rng, "sq-euclid", 40.0, layout.size)
-        off_diag = e[~np.eye(layout.size, dtype=bool)].reshape(layout.size, -1)
+        e = _exponents(rng, "sq-euclid", 40.0, len(layout.a))
+        off_diag = e[~np.eye(len(layout.a), dtype=bool)].reshape(len(layout.a), -1)
         assert off_diag.max(axis=1).max() < -709
         assert _core_py._LossPlan(layout.a, layout.active).partner is not None
         _, r, de = _assert_close(e, layout.a, layout.active, log_transform)
@@ -654,7 +654,7 @@ def test_diverged_rows_stay_loud_through_gcl_grad(name, dense, transform):
     assert (matrix._plan.partner is not None) == dense
     options = losses.GclOptions(ratio_transform=transform)
     for _ in range(2):
-        z = rng.normal(0.0, 40.0, size=(matrix.size, 8))
+        z = rng.normal(0.0, 40.0, size=(len(matrix.a), 8))
         d2 = np.sum((z[:, None] - z[None]) ** 2, axis=2)
         largest = np.where(matrix.a != 0, -d2, -np.inf).max(axis=1)
         assert largest[matrix.active].max() < -709

@@ -3,6 +3,8 @@ import pytest
 
 from gclkit import synth
 
+from conftest import nearest_class_mean_errors
+
 
 class TestSyntheticConfig:
     def test_rejects_single_speaker(self):
@@ -39,7 +41,7 @@ class TestSynthDataset:
     def test_separated_clusters_have_zero_ncm_errors(self):
         cfg = synth.SyntheticConfig(n_speakers=2, utterances_per_speaker=5,
                                     intra_spread=0.01, inter_spread=10.0, seed=1)
-        assert synth.nearest_class_mean_errors(synth.synth_dataset(cfg)) == 0
+        assert nearest_class_mean_errors(synth.synth_dataset(cfg)) == 0
 
 
 class TestHideLabels:
