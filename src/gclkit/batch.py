@@ -10,19 +10,14 @@ square matrix, so it is the one rule the tags obey: a batch whose tags differ
 from ``canonical_tags(N, N')`` anywhere is rejected, and every builder hands
 out those shared read-only arrays.
 
-Batches built from encoder outputs also carry a source map over the encoding
-pool, the rows that were encoded to form the batch. Every pool row feeds
-exactly one entry (a query, a support or a view), so the map is two arrays
-indexed by pool row: ``source_entry[r]`` is the entry row ``r`` feeds and
-``source_coeff[r]`` its weight in that entry, e.g. 1/(K'-1) for a support
-averaged into a prototype. Together they are the sparse matrix S with
-``z = S @ pool``, and the loss gradient on the pool is ``S.T @ grad_z``. A
-prototype batch's map depends only on (N, K') and an augmented batch's only
-on N', so every batch of one shape shares read-only arrays.
-
-A training step encodes one pool, the labeled N*K' rows and then the 2N'
-views, and builds both batches from slices of the output: the merged map
-covers the whole pool in order, for one encoder backward pass.
+Batches built from encoder outputs also record ``pool_rows``, how many rows
+of the encoding pool they were built from. The pool's order is fixed, the
+N*K' labeled rows class by class (query first) then the 2N' views, so the
+count gives the sparse matrix S with ``z = S @ pool``: each query and view
+row feeds its own entry, and each support 1/(K'-1) of its class's prototype.
+A training step encodes one pool and builds both batches from slices of the
+output; ``backprop_to_sources`` writes ``S.T @ grad_z`` for one encoder
+backward pass.
 
 The labeled rows come from two-step sampling: one ``rng.choice`` of N
 classes, then K' rows of each. The second step's stream is one
@@ -30,7 +25,7 @@ classes, then K' rows of each. The second step's stream is one
 draw of words (see ``_replay``) where that is exact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -58,9 +53,7 @@ class RepresentationBatch:
     slots: np.ndarray  # (M,) int, 1 or 2
     n_labeled: int
     n_unlabeled: int
-    # Source map, one element per encoding-pool row (None without a pool):
-    source_entry: np.ndarray = field(default=None, repr=False)  # (R,) int entry fed
-    source_coeff: np.ndarray = field(default=None, repr=False)  # (R,) float weight
+    pool_rows: int = 0  # encoding-pool rows the batch was built from, 0 = no pool
 
     def __post_init__(self):
         m = self.z.shape[0]
@@ -113,21 +106,6 @@ def canonical_tags(n_labeled, n_unlabeled):
                               for n in (n_labeled, n_unlabeled)])
     slots = np.tile([1, 2], n_labeled + n_unlabeled)
     return _read_only(groups, indices, slots)
-
-
-@cache
-def _prototype_sources(n, kp):
-    """Read-only source map of a prototype batch: pool row i*K' + j feeds
-    the query (j = 0) or the prototype of class i."""
-    support = np.arange(kp) > 0
-    return _read_only((2 * np.arange(n)[:, None] + support).ravel(),
-                      np.tile(np.where(support, 1.0 / (kp - 1), 1.0), n))
-
-
-@cache
-def _augmented_sources(n):
-    """Read-only source map of an augmented batch: view r is entry r."""
-    return _read_only(np.arange(2 * n), np.ones(2 * n))
 
 
 def two_step_sample(dataset, n, k, rng):
@@ -191,7 +169,7 @@ def build_prototype_batch(encoded):
     z = np.empty((2 * n, d))
     z[0::2] = encoded[:, 0]
     z[1::2] = encoded[:, 1:].mean(axis=1)
-    return RepresentationBatch(z, *canonical_tags(n, 0), n, 0, *_prototype_sources(n, kp))
+    return RepresentationBatch(z, *canonical_tags(n, 0), n, 0, n * kp)
 
 
 def build_augmented_batch(encoded):
@@ -204,28 +182,47 @@ def build_augmented_batch(encoded):
     if z.ndim != 2 or z.shape[0] % 2:
         raise ValueError("expected (2N', D) with the two views of each sample in turn")
     n = z.shape[0] // 2
-    return RepresentationBatch(z, *canonical_tags(0, n), 0, n, *_augmented_sources(n))
+    return RepresentationBatch(z, *canonical_tags(0, n), 0, n, 2 * n)
 
 
 def merge_semi_batch(z0, z1):
     """Union of a labeled and an unlabeled batch, labeled entries first.
 
-    Both come from the builders, so both carry a source map: the merged map
-    covers z0's pool rows, then z1's.
+    Both must come from the builders: the merged batch covers z0's pool rows,
+    then z1's.
     """
     if z0.n_unlabeled or z1.n_labeled:
         raise ValueError("merge expects an all-labeled batch then an all-unlabeled one")
     if z0.dim != z1.dim:
         raise ValueError(f"embedding dims differ: {z0.dim} vs {z1.dim}")
-    source_entry = np.concatenate([z0.source_entry, z1.source_entry + z0.size])
-    source_coeff = np.concatenate([z0.source_coeff, z1.source_coeff])
+    if not (z0.pool_rows and z1.pool_rows):
+        raise ValueError("merge expects two batches built from an encoding pool")
     n_labeled, n_unlabeled = z0.n_labeled, z1.n_unlabeled
     return RepresentationBatch(np.vstack([z0.z, z1.z]), *canonical_tags(n_labeled, n_unlabeled),
-                               n_labeled, n_unlabeled, source_entry, source_coeff)
+                               n_labeled, n_unlabeled, z0.pool_rows + z1.pool_rows)
 
 
 def backprop_to_sources(batch, grad_z):
-    """Push per-entry gradients back onto the encoding pool rows (S.T @ grad_z)."""
-    if batch.source_entry is None:
-        raise ValueError("batch carries no source bookkeeping")
-    return batch.source_coeff[:, None] * grad_z[batch.source_entry]
+    """Push per-entry gradients back onto the encoding pool rows (S.T @ grad_z).
+
+    Each query and view row takes its entry's gradient, and each of a class's
+    K'-1 support rows 1/(K'-1) times its prototype's.
+    """
+    if not batch.pool_rows:
+        raise ValueError("batch was not built from an encoding pool")
+    if grad_z.shape != batch.z.shape:
+        raise ValueError(f"grad_z has shape {grad_z.shape}, the batch {batch.z.shape}")
+    n, views = batch.n_labeled, 2 * batch.n_unlabeled
+    kp, rest = divmod(batch.pool_rows - views, n) if n else (2, batch.pool_rows - views)
+    if kp < 2 or rest:
+        raise ValueError(f"{batch.pool_rows} pool rows fit no layout of {n} classes "
+                         f"and {views} views")
+    if not n:
+        return grad_z.copy()
+    out = np.empty((batch.pool_rows, batch.dim))
+    labeled = out[:n * kp].reshape(n, kp, -1)
+    pairs = grad_z[:2 * n].reshape(n, 2, -1)  # (query, prototype) of each class
+    labeled[:, 0] = pairs[:, 0]
+    labeled[:, 1:] = pairs[:, 1:] * (1.0 / (kp - 1))
+    out[n * kp:] = grad_z[2 * n:]
+    return out

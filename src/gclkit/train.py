@@ -78,7 +78,7 @@ class TrainConfig:
         for name in ("hidden_dim", "embedding_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("lr", "momentum"):
+        for name in ("lr", "momentum", "tau", "gamma", "beta", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # train() clamps gamma to GAMMA_MIN only after a step: a smaller start

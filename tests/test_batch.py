@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +126,15 @@ class TestMergeAndSplit:
         with pytest.raises(ValueError, match="expects"):
             batching.merge_semi_batch(z0, z0)
 
+    def test_rejects_side_without_pool(self, rng):
+        # 0 pool rows plus the other side's count can look like a valid layout
+        z0 = random_prototype_batch(rng, n=2, kp=2, d=4)
+        z1 = random_augmented_batch(rng, n=2, d=4)
+        for pair in ((dataclasses.replace(z0, pool_rows=0), z1),
+                     (z0, dataclasses.replace(z1, pool_rows=0))):
+            with pytest.raises(ValueError, match="two batches built from an encoding pool"):
+                batching.merge_semi_batch(*pair)
+
 
 class TestRepresentationBatchValidation:
     def test_rejects_wrong_cardinality(self):
@@ -213,40 +225,46 @@ class TestBackpropToSources:
         assert np.allclose(out[2], 0.5 * grad_z[1])
 
     def test_merged_offsets(self, rng):
-        z0 = random_prototype_batch(rng, n=2, kp=2, d=3)
+        # the labeled pool rows come first, then the views: the merged batch's
+        # pool gradient is the two sides' stacked
+        z0 = random_prototype_batch(rng, n=2, kp=3, d=3)
         z1 = random_augmented_batch(rng, n=2, d=3)
         merged = batching.merge_semi_batch(z0, z1)
-        g = np.ones((merged.size, 3))
-        out = batching.backprop_to_sources(merged, g)
-        n0 = len(z0.source_entry)
-        assert out.shape == (n0 + len(z1.source_entry), 3)
-        assert np.all(out != 0)
-        # unlabeled pool rows follow the labeled ones and feed shifted entries
-        assert np.array_equal(merged.source_entry[:n0], z0.source_entry)
-        assert np.array_equal(merged.source_entry[n0:], z1.source_entry + z0.size)
-
-    def test_maps_shared_per_shape_and_read_only(self, rng):
-        # A prototype batch's map depends only on (N, K'), an augmented
-        # batch's only on N': batches of one shape share the arrays.
-        pairs = [
-            [batching.build_prototype_batch(rng.normal(size=(3, 4, 2))) for _ in range(2)],
-            [batching.build_augmented_batch(rng.normal(size=(10, 2))) for _ in range(2)],
-        ]
-        for first, second in pairs:
-            for name in ("source_entry", "source_coeff"):
-                shared = getattr(first, name)
-                assert getattr(second, name) is shared
-                with pytest.raises(ValueError, match="read-only"):
-                    shared[0] = 0
-        other = batching.build_prototype_batch(rng.normal(size=(3, 3, 2)))
-        assert other.source_coeff is not pairs[0][0].source_coeff
-        assert other.source_coeff[1] == 0.5  # 1/(K'-1) for K' = 3
+        assert merged.pool_rows == z0.pool_rows + z1.pool_rows == 2 * 3 + 4
+        g = rng.normal(size=merged.z.shape)
+        want = np.vstack([batching.backprop_to_sources(z0, g[:z0.size]),
+                          batching.backprop_to_sources(z1, g[z0.size:])])
+        assert batching.backprop_to_sources(merged, g).tobytes() == want.tobytes()
 
     def test_requires_sources(self):
         rep = batching.RepresentationBatch(np.zeros((2, 2)), np.zeros(2, int),
                                            np.ones(2, int), np.array([1, 2]), 1, 0)
-        with pytest.raises(ValueError):
+        assert rep.pool_rows == 0
+        with pytest.raises(ValueError, match="not built from an encoding pool"):
             batching.backprop_to_sources(rep, np.zeros((2, 2)))
+
+    def test_rejects_grad_of_wrong_shape(self, rng):
+        rep = random_prototype_batch(rng, n=2, kp=3, d=3)
+        for shape in ((4, 2), (3, 3), (12,)):
+            with pytest.raises(ValueError, match=re.escape(f"grad_z has shape {shape}, "
+                                                           "the batch (4, 3)")):
+                batching.backprop_to_sources(rep, np.zeros(shape))
+
+    @pytest.mark.parametrize("n_labeled, n_unlabeled, pool_rows", [
+        (2, 0, 2),  # K' = 1: a prototype needs a support
+        (2, 0, 7),  # a remainder: 2 classes cannot share 7 rows
+        (2, 1, 5),  # 2 views leave 3 rows, K' = 1 remainder 1
+        (0, 2, 6),  # an augmented batch is its 4 views, no more
+        (0, 2, 2),
+        (1, 1, 1),  # fewer rows than views
+    ])
+    def test_rejects_count_that_fits_no_layout(self, n_labeled, n_unlabeled, pool_rows):
+        m = 2 * (n_labeled + n_unlabeled)
+        rep = batching.RepresentationBatch(
+            np.zeros((m, 2)), *batching.canonical_tags(n_labeled, n_unlabeled),
+            n_labeled, n_unlabeled, pool_rows)
+        with pytest.raises(ValueError, match=f"{pool_rows} pool rows fit no layout"):
+            batching.backprop_to_sources(rep, np.zeros((m, 2)))
 
 
 class TestSourceMapAdjoint:
@@ -269,10 +287,12 @@ class TestSourceMapAdjoint:
         views = rng.normal(size=(8, 3))
         self.assert_adjoint(rng, batching.build_augmented_batch(views), views)
 
-    def test_merged(self, rng):
-        enc = rng.normal(size=(3, 3, 4))
-        views = rng.normal(size=(4, 4))
+    @pytest.mark.parametrize("kp", [2, 3, 5])
+    @pytest.mark.parametrize("n_unlabeled", [1, 4])
+    def test_merged(self, rng, kp, n_unlabeled):
+        enc = rng.normal(size=(3, kp, 4))
+        views = rng.normal(size=(2 * n_unlabeled, 4))
         z0 = batching.build_prototype_batch(enc)
         z1 = batching.build_augmented_batch(views)
-        pool = np.vstack([enc.reshape(9, 4), views])
+        pool = np.vstack([enc.reshape(3 * kp, 4), views])
         self.assert_adjoint(rng, batching.merge_semi_batch(z0, z1), pool)

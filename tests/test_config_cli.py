@@ -330,6 +330,9 @@ class TestCommands:
         ("train.embedding_dim = 0", "embedding_dim must be >= 1, got 0"),
         ("train.lr = nan", "lr must be finite, got nan"),
         ("train.momentum = inf", "momentum must be finite, got inf"),
+        *((f"{key} = {value}", f"{key.split('.')[1]} must be finite, got {value}")
+          for key in ("kernel.tau", "kernel.gamma", "kernel.beta", "loss.epsilon")
+          for value in ("inf", "-inf", "nan")),
         ("kernel.gamma = -3", "gamma must be >= 0.001 for the affine-cosine kernel, got -3.0"),
     ])
     def test_train_rejects_bad_setting(self, tmp_path, capsys, line, message):

@@ -71,20 +71,22 @@ class TestConfigValidation:
             training.TrainConfig(**{name: 0})
         assert getattr(training.TrainConfig(**{name: 1}), name) == 1
 
-    @pytest.mark.parametrize("name", ["lr", "momentum"])
+    @pytest.mark.parametrize("name", ["lr", "momentum", "tau", "gamma", "beta", "epsilon"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_lr_and_momentum_finite(self, name, value):
-        # A non-finite value used to fail at step 0 with "non-finite embedding values".
+    def test_float_settings_finite(self, name, value):
+        # A non-finite value used to fail at step 0 with an error that did not
+        # name it, or, for cosine-temp with tau = inf, to train at a constant loss.
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             training.TrainConfig(**{name: value})
 
     def test_zero_lr_stays_legal(self):
         assert training.TrainConfig(lr=0.0, momentum=0.0).lr == 0.0
 
-    @pytest.mark.parametrize("gamma", [-3.0, 0.0, GAMMA_MIN / 2, np.nan])
+    @pytest.mark.parametrize("gamma", [-3.0, 0.0, GAMMA_MIN / 2])
     def test_affine_cosine_gamma_floor(self, gamma):
         # gamma -3 used to train its first step with inverted similarities,
-        # clamped to GAMMA_MIN only after it.
+        # clamped to GAMMA_MIN only after it. A NaN gamma is not finite, for
+        # every kernel (see test_float_settings_finite).
         with pytest.raises(ValueError, match="gamma must be >= 0.001 for the affine-cosine"):
             training.TrainConfig(kernel="affine-cosine", gamma=gamma)
         assert training.TrainConfig(kernel="affine-cosine", gamma=GAMMA_MIN).gamma == GAMMA_MIN
