@@ -30,8 +30,12 @@ class Encoder:
 
     def forward(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        h = np.tanh(x @ self.params["W1"] + self.params["b1"])
-        z = h @ self.params["W2"] + self.params["b2"]
+        # In place on h and z: the class formula's operations, no temporaries.
+        h = x @ self.params["W1"]
+        h += self.params["b1"]
+        np.tanh(h, out=h)
+        z = h @ self.params["W2"]
+        z += self.params["b2"]
         return z, (x, h)
 
     def __call__(self, x):
@@ -43,7 +47,10 @@ class Encoder:
         g_w1, g_b1, g_w2, g_b2 = self._views(grad)
         np.matmul(h.T, grad_z, out=g_w2)
         grad_z.sum(axis=0, out=g_b2)
-        dh = (grad_z @ self.params["W2"].T) * (1.0 - h * h)
+        dh = grad_z @ self.params["W2"].T
+        t = h * h
+        np.subtract(1.0, t, out=t)
+        dh *= t
         np.matmul(x.T, dh, out=g_w1)
         dh.sum(axis=0, out=g_b1)
         return grad

@@ -5,8 +5,11 @@ spread, and utterances scattered around it with the within-speaker spread.
 Augmentations act on raw feature vectors: additive noise, random gain, and
 coordinate dropout. ``paired_views`` returns two views of each unlabeled
 sample as feature rows, which a training step encodes with its labeled rows.
+It draws them in the order a per-sample loop would, in at most two
+generator calls per sample.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,8 +28,13 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n_speakers < 2:
             raise ValueError("need at least 2 speakers")
-        if self.intra_spread <= 0 or self.inter_spread <= 0:
-            raise ValueError("spreads must be positive")
+        for name in ("utterances_per_speaker", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("intra_spread", "inter_spread"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +116,16 @@ class AugmentationSpec:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        if self.noise_sigma < 0 or not 0 <= self.dropout_rate < 1:
-            raise ValueError("invalid augmentation parameters")
+        for name in ("noise_sigma", "gain_low", "gain_high"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.dropout_rate < 1:
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not 0 < self.gain_low <= self.gain_high:
-            raise ValueError("invalid gain range")
+            raise ValueError(f"gain_low and gain_high must satisfy 0 < gain_low <= gain_high, "
+                             f"got {self.gain_low} and {self.gain_high}")
 
 
 NOISE, GAIN, DROPOUT = range(3)
@@ -159,7 +173,10 @@ def paired_views(samples, t1, t2):
     then of row 1, and so on.
 
     The draws come out in that order too. Where that order allows, the views
-    are drawn with one call per batch instead of one per sample.
+    are drawn with one call per batch. Noise with dropout on one generator
+    interleaves two distributions row by row, so its draws take one call per
+    view and row, and each half is then transformed at once. Any other
+    callable is applied per sample.
     """
     n, f = samples.shape
     bulk = isinstance(t1, Transform) and isinstance(t2, Transform)
@@ -176,8 +193,25 @@ def paired_views(samples, t1, t2):
         else:
             views = samples[:, None] * (t1.rng.random((n, 2, f)) >= value)
         return views.reshape(2 * n, f)
-    # Noise with dropout interleaves two distributions sample by sample, and
-    # an arbitrary callable may do anything: apply them per sample.
+    if bulk:
+        # Noise with dropout, in either order: draw into the views in stream
+        # order, then transform each half. normal(0, sigma) is
+        # 0.0 + sigma * z, and the 0.0 keeps the sign of a zero the same.
+        k = int(t1.family != NOISE)  # the noise view's place in each pair
+        noise, dropout = (t1, t2)[k], (t1, t2)[1 - k]
+        draws = (t1.rng.standard_normal, t1.rng.random)
+        first, second = draws[k], draws[1 - k]
+        views = np.empty((2 * n, f))
+        for x, y in zip(views[0::2], views[1::2]):
+            first(out=x)
+            second(out=y)
+        z, u = views[k::2], views[1 - k::2]
+        z *= noise.value
+        z += 0.0
+        z += samples
+        np.multiply(samples, u >= dropout.value, out=u)
+        return views
+    # An arbitrary callable may do anything: apply them per sample.
     views = np.empty((2 * n, f))
     for i, x in enumerate(samples):
         views[2 * i] = t1(x)

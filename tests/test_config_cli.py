@@ -334,6 +334,12 @@ class TestCommands:
           for key in ("kernel.tau", "kernel.gamma", "kernel.beta", "loss.epsilon")
           for value in ("inf", "-inf", "nan")),
         ("kernel.gamma = -3", "gamma must be >= 0.001 for the affine-cosine kernel, got -3.0"),
+        *((f"train.mode = semi\naugment.{name} = {value}", f"{name} must be finite, got {value}")
+          for name in ("noise_sigma", "gain_low", "gain_high") for value in ("inf", "-inf", "nan")),
+        ("train.mode = semi\naugment.noise_sigma = -1", "noise_sigma must be >= 0, got -1.0"),
+        ("train.mode = semi\naugment.dropout_rate = 1", "dropout_rate must be in [0, 1), got 1.0"),
+        ("train.mode = semi\naugment.gain_low = 1.5",
+         "gain_low and gain_high must satisfy 0 < gain_low <= gain_high, got 1.5 and 1.2"),
     ])
     def test_train_rejects_bad_setting(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, SMALL_CFG + line + "\n")
@@ -350,6 +356,10 @@ class TestCommands:
         ("data.holdout_speakers = 100", "cannot hold out 100 speakers: dataset has 64"),
         ("data.holdout_speakers = 64", "cannot hold out 64 speakers: dataset has 64"),
         ("eval.n_pairs = 1", "eval.n_pairs must be >= 2"),
+        *((f"data.{name} = {value}", f"{name} must be positive and finite, got {value}")
+          for name in ("intra_spread", "inter_spread") for value in ("inf", "nan", "0.0", "-1.0")),
+        *((f"data.{name} = {value}", f"{name} must be >= 1, got {value}")
+          for name in ("utterances_per_speaker", "feature_dim") for value in ("0", "-1")),
     ])
     def test_synth_error_names_the_setting(self, tmp_path, capsys, line, message):
         cfg = write_config(tmp_path, "# defaults but one\n" + line + "\n")
